@@ -64,7 +64,9 @@ type Options struct {
 	// FixedM forces the switch count instead of the m_opt prediction.
 	// Zero means predict. Used by the Fig. 5 sweeps.
 	FixedM int
-	// Moves selects the SA neighbourhood. Default TwoNeighborSwing.
+	// Moves selects the SA neighbourhood. The zero value is
+	// opt.SwapOnly; pass opt.TwoNeighborSwing explicitly for the paper's
+	// 2-neighbor swing.
 	Moves opt.MoveSet
 	// Workers is the number of evaluation shard workers per annealing run
 	// (hsgraph.Evaluator). Zero means auto: single-restart runs use

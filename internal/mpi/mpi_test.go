@@ -3,8 +3,10 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hsgraph"
 	"repro/internal/simnet"
@@ -330,6 +332,35 @@ func TestSendToInvalidRankPanicsIntoError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("send to invalid rank did not error")
+	}
+}
+
+// TestFailedRunLeaksNoGoroutines checks that runs ending in deadlock or in
+// a rank panic leave no rank goroutines behind.
+func TestFailedRunLeaksNoGoroutines(t *testing.T) {
+	nw := ringWorld(t, 8)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		_, err := Run(nw, 8, Config{}, func(r *Rank) error {
+			r.Barrier()
+			switch {
+			case r.ID() != 5:
+				r.Recv(5, 9) // rank 5 never sends
+			case i%2 == 1:
+				r.Send(99, 9, 0) // invalid rank: panics
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("Run succeeded; want deadlock or panic error")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after failed runs, %d before", n, base)
 	}
 }
 

@@ -76,7 +76,8 @@ type Options struct {
 	// Iterations is the number of proposed moves. Default 20000.
 	// Negative values are rejected.
 	Iterations int
-	// Moves selects the neighbourhood. Default TwoNeighborSwing.
+	// Moves selects the neighbourhood. The zero value is SwapOnly; set
+	// TwoNeighborSwing explicitly for the paper's 2-neighbor swing.
 	Moves MoveSet
 	// Schedule selects the cooling schedule. Default Geometric.
 	Schedule Schedule

@@ -50,6 +50,7 @@ func init() {
 	registerEvalOrbit()
 	registerAnnealSymmetric()
 	registerSimnet("CG")
+	registerSimnet("IS")
 	registerSimnet("MG")
 	registerFaultSweep()
 	registerCkpt()

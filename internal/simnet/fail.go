@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Link failures. A Network is immutable and may be shared by many Sims, so
 // failure state lives in the Sim as a copy-on-write view of the switch
@@ -84,26 +81,21 @@ func (s *Sim) linkDown(a, b int32) {
 	removeNeighborSw(&s.fail.adj[b], a)
 	s.recomputeFailDist()
 
-	// Reroute affected flows in id order so the outcome (including the
-	// firing order of failed flows' signals) is deterministic.
-	var affected []int64
-	for id, f := range s.flows {
-		for _, l := range f.links {
-			if s.fail.down[l] {
-				affected = append(affected, id)
-				break
-			}
+	// Reroute affected flows in id order (the table's order) so the
+	// outcome, including the firing order of failed flows' signals, is
+	// deterministic.
+	affected, failed := false, 0
+	for _, f := range s.flows {
+		if !s.crossesDownLink(f) {
+			continue
 		}
-	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-	for _, id := range affected {
-		f := s.flows[id]
+		affected = true
 		links, err := s.route(f.src, f.dst)
 		if err != nil {
-			delete(s.flows, id)
+			f.gone = true
+			failed++
 			s.FlowsFailed++
 			s.Tracer.record(FlowEvent{Kind: FlowFail, Time: s.now, ID: f.id, Src: f.src, Dst: f.dst, Bytes: f.remaining})
-			s.Metrics.flowEnded(s, nil, true)
 			s.fire(f.done)
 			continue
 		}
@@ -116,9 +108,24 @@ func (s *Sim) linkDown(a, b int32) {
 			s.Metrics.Reroutes.Inc()
 		}
 	}
-	if len(affected) > 0 {
+	if failed > 0 {
+		s.removeGone()
+		for ; failed > 0; failed-- {
+			s.Metrics.flowEnded(s, nil, true)
+		}
+	}
+	if affected {
 		s.ratesDirty = true
 	}
+}
+
+func (s *Sim) crossesDownLink(f *flow) bool {
+	for _, l := range f.links {
+		if s.fail.down[l] {
+			return true
+		}
+	}
+	return false
 }
 
 // recomputeFailDist rebuilds the private distance matrix by BFS.

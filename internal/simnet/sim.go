@@ -1,10 +1,10 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"sync"
 )
 
 // Sim is a deterministic discrete-event simulator over a Network with
@@ -18,17 +18,30 @@ type Sim struct {
 	events  eventHeap
 	eventSq int64
 
-	flows      map[int64]*flow
+	// flows holds the active flows in increasing id order: ids only grow,
+	// so a new flow is appended, and finished or failed flows leave by a
+	// stable compaction. Every pass over the flows (rate allocation,
+	// draining, completion, rerouting) therefore runs in id order, which
+	// makes the float sums bit-reproducible.
+	flows      []*flow
+	finishBuf  []*flow // nextFlowCompletion's reused result
 	nextFlowID int64
 	ratesDirty bool
 	// max-min scratch (lazily sized to the link count)
 	linkFree   []float64
+	linkShare  []float64 // linkFree/linkCount, +Inf once a link has no unset flow
 	linkCount  []int32
 	touchedBuf []int32
+	liveBuf    []int32
+	unsetBuf   []*flow
 
 	procs   []*Proc
 	readyQ  []*Proc
 	yielded chan struct{}
+	// aborting is set when Run fails; the parked processes are then
+	// resumed once more so their goroutines exit instead of leaking.
+	aborting bool
+	exited   sync.WaitGroup // process goroutines still running
 
 	// Stats
 	FlowsCompleted int64
@@ -77,6 +90,8 @@ type flow struct {
 	rate      float64
 	done      *Signal
 	started   float64 // sim time at which the flow began carrying bytes
+	eta       float64 // completion time at the current rate (nextFlowCompletion)
+	gone      bool    // finished or failed; dropped by the next removeGone
 }
 
 type event struct {
@@ -85,19 +100,57 @@ type event struct {
 	fn  func()
 }
 
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events in (at, seq) order. Sequence
+// numbers are unique, so the pop order is total and independent of the
+// heap's internal layout.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h eventHeap) peek() event { return h[0] }
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !q[i].before(&q[up]) {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event   { return h[0] }
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // drop the closure reference
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
 
 // Proc is a simulated process pinned to a host. Its body runs in its own
 // goroutine but only while the scheduler has handed it control; all
@@ -115,7 +168,6 @@ type Proc struct {
 func NewSim(net *Network) *Sim {
 	return &Sim{
 		net:     net,
-		flows:   make(map[int64]*flow),
 		yielded: make(chan struct{}),
 	}
 }
@@ -133,9 +185,17 @@ func (s *Sim) Spawn(host int, body func(p *Proc)) *Proc {
 	}
 	p := &Proc{ID: len(s.procs), Host: host, sim: s, resume: make(chan struct{})}
 	s.procs = append(s.procs, p)
+	s.exited.Add(1)
 	go func() {
+		defer s.exited.Done()
 		<-p.resume
+		if s.aborting {
+			return
+		}
 		defer func() {
+			if s.aborting {
+				return // released by a failed Run: nobody is listening
+			}
 			if r := recover(); r != nil {
 				p.failed = fmt.Errorf("simnet: process %d panicked: %v", p.ID, r)
 			}
@@ -149,8 +209,31 @@ func (s *Sim) Spawn(host int, body func(p *Proc)) *Proc {
 }
 
 // Run executes until every process finishes. It returns an error on
-// deadlock (processes blocked with no pending events) or process panic.
+// deadlock (processes blocked with no pending events) or process panic,
+// after ending the goroutines of the unfinished processes. Either way,
+// no process goroutine is still running when Run returns.
 func (s *Sim) Run() error {
+	err := s.run()
+	if err != nil {
+		s.release()
+	}
+	s.exited.Wait()
+	return err
+}
+
+// release ends the goroutine of every unfinished process. After a failed
+// run each of them is parked on its resume channel (before its body or in
+// yield); resumed with aborting set, it exits via runtime.Goexit.
+func (s *Sim) release() {
+	s.aborting = true
+	for _, p := range s.procs {
+		if !p.done {
+			p.resume <- struct{}{}
+		}
+	}
+}
+
+func (s *Sim) run() error {
 	for {
 		if len(s.readyQ) > 0 {
 			p := s.readyQ[0]
@@ -184,7 +267,7 @@ func (s *Sim) advance() error {
 	if s.ratesDirty {
 		s.recomputeRates()
 	}
-	tFlow, flowIDs := s.nextFlowCompletion()
+	tFlow, finished := s.nextFlowCompletion()
 	tTimer := math.Inf(1)
 	if len(s.events) > 0 {
 		tTimer = s.events.peek().at
@@ -202,9 +285,11 @@ func (s *Sim) advance() error {
 	s.drainFlows(t - s.now)
 	s.now = t
 	if tFlow <= tTimer {
-		for _, id := range flowIDs {
-			f := s.flows[id]
-			delete(s.flows, id)
+		for _, f := range finished {
+			f.gone = true
+		}
+		s.removeGone()
+		for _, f := range finished {
 			s.FlowsCompleted++
 			s.ratesDirty = true
 			s.Tracer.record(FlowEvent{Kind: FlowFinish, Time: s.now, ID: f.id, Src: f.src, Dst: f.dst})
@@ -216,13 +301,23 @@ func (s *Sim) advance() error {
 	// Drain every timer event scheduled for this instant in one pass so the
 	// (expensive) rate recomputation runs once per timestamp, not once per
 	// event — synchronized collectives produce large same-time batches.
-	e := heap.Pop(&s.events).(event)
-	e.fn()
+	s.events.pop().fn()
 	for len(s.events) > 0 && s.events.peek().at == t {
-		e := heap.Pop(&s.events).(event)
-		e.fn()
+		s.events.pop().fn()
 	}
 	return nil
+}
+
+// removeGone drops the flows marked gone, keeping the rest in id order.
+func (s *Sim) removeGone() {
+	kept := s.flows[:0]
+	for _, f := range s.flows {
+		if !f.gone {
+			kept = append(kept, f)
+		}
+	}
+	clear(s.flows[len(kept):])
+	s.flows = kept
 }
 
 // drainFlows transfers dt seconds of data on every active flow.
@@ -294,134 +389,141 @@ func (s *Sim) LinkLoadSummary() (maxBytes, meanBytes float64) {
 }
 
 // nextFlowCompletion returns the earliest completion time among active
-// flows and the ids of all flows completing then (within tolerance).
-func (s *Sim) nextFlowCompletion() (float64, []int64) {
+// flows and, in id order, all flows completing then (within tolerance).
+// The returned slice is reused by the next call.
+func (s *Sim) nextFlowCompletion() (float64, []*flow) {
 	t := math.Inf(1)
 	for _, f := range s.flows {
 		if f.rate <= 0 {
 			continue
 		}
-		ft := s.now + f.remaining/f.rate
-		if ft < t {
-			t = ft
+		f.eta = s.now + f.remaining/f.rate
+		if f.eta < t {
+			t = f.eta
 		}
 	}
 	if math.IsInf(t, 1) {
 		return t, nil
 	}
 	const eps = 1e-15
-	var ids []int64
-	for id, f := range s.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if s.now+f.remaining/f.rate <= t+eps {
-			ids = append(ids, id)
+	out := s.finishBuf[:0]
+	for _, f := range s.flows {
+		if f.rate > 0 && f.eta <= t+eps {
+			out = append(out, f)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return t, ids
+	s.finishBuf = out
+	return t, out
 }
 
 // recomputeRates runs progressive-filling max-min fair allocation over all
 // active flows using flat per-link arrays (this is the simulator's hot
-// path).
+// path). Each round freezes, in id order, every unset flow crossing a link
+// whose fair share is within a relative 1e-12 of the round's minimum. A
+// link's share is cached and recomputed only when a freeze changes it, and
+// the rounds walk only the still-unset flows and still-loaded links; the
+// arithmetic, and its order, is that of the plain formulation.
 func (s *Sim) recomputeRates() {
 	s.ratesDirty = false
 	if len(s.flows) == 0 {
 		return
 	}
-	active := make([]*flow, 0, len(s.flows))
-	for _, f := range s.flows {
-		active = append(active, f)
-	}
-	sort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })
-
 	cap_ := s.net.cfg.BandwidthBps
 	if s.linkFree == nil {
-		s.linkFree = make([]float64, s.net.NumLinks())
-		s.linkCount = make([]int32, s.net.NumLinks())
+		nl := s.net.NumLinks()
+		s.linkFree = make([]float64, nl)
+		s.linkShare = make([]float64, nl)
+		s.linkCount = make([]int32, nl)
 	}
+	free, shareOf, count := s.linkFree, s.linkShare, s.linkCount
 	touched := s.touchedBuf[:0]
-	for _, f := range active {
+	for _, f := range s.flows {
 		f.rate = -1
 		for _, l := range f.links {
-			if s.linkCount[l] == 0 {
-				s.linkFree[l] = cap_
+			if count[l] == 0 {
+				free[l] = cap_
 				touched = append(touched, l)
 			}
-			s.linkCount[l]++
+			count[l]++
 		}
 	}
-	unset := len(active)
-	for unset > 0 {
+	for _, l := range touched {
+		shareOf[l] = free[l] / float64(count[l])
+	}
+	live := append(s.liveBuf[:0], touched...) // links still carrying unset flows
+	unset := append(s.unsetBuf[:0], s.flows...)
+	for len(unset) > 0 {
 		share := math.Inf(1)
-		for _, l := range touched {
-			if s.linkCount[l] == 0 {
+		n := 0
+		for _, l := range live {
+			if count[l] == 0 {
 				continue
 			}
-			if sh := s.linkFree[l] / float64(s.linkCount[l]); sh < share {
-				share = sh
+			live[n] = l
+			n++
+			if shareOf[l] < share {
+				share = shareOf[l]
 			}
 		}
+		live = live[:n]
 		if math.IsInf(share, 1) {
-			for _, f := range active {
-				if f.rate < 0 {
-					f.rate = cap_
-				}
+			for _, f := range unset {
+				f.rate = cap_
 			}
 			break
 		}
 		limit := share * (1 + 1e-12)
-		froze := 0
-		for _, f := range active {
-			if f.rate >= 0 {
-				continue
-			}
+		next := unset[:0]
+		for _, f := range unset {
 			bottled := false
 			for _, l := range f.links {
-				if c := s.linkCount[l]; c > 0 && s.linkFree[l]/float64(c) <= limit {
+				if shareOf[l] <= limit {
 					bottled = true
 					break
 				}
 			}
 			if !bottled {
+				next = append(next, f)
 				continue
 			}
 			f.rate = share
-			froze++
 			for _, l := range f.links {
-				s.linkFree[l] -= share
-				if s.linkFree[l] < 0 {
-					s.linkFree[l] = 0
+				free[l] -= share
+				if free[l] < 0 {
+					free[l] = 0
 				}
-				s.linkCount[l]--
+				count[l]--
+				if count[l] > 0 {
+					shareOf[l] = free[l] / float64(count[l])
+				} else {
+					shareOf[l] = math.Inf(1)
+				}
 			}
 		}
-		unset -= froze
-		if froze == 0 {
+		if len(next) == len(unset) {
 			// Numerical stalemate: assign the remaining flows the current
 			// share to guarantee termination.
-			for _, f := range active {
-				if f.rate < 0 {
-					f.rate = share
-					unset--
-				}
+			for _, f := range unset {
+				f.rate = share
 			}
+			next = next[:0]
 		}
+		unset = next
 	}
 	// Reset counters for the next invocation (free slots are lazily
 	// reinitialised via linkCount == 0).
 	for _, l := range touched {
-		s.linkCount[l] = 0
+		count[l] = 0
 	}
 	s.touchedBuf = touched[:0]
+	s.liveBuf = live[:0]
+	s.unsetBuf = unset[:0]
 }
 
 // after schedules fn at now+delay.
 func (s *Sim) after(delay float64, fn func()) {
 	s.eventSq++
-	heap.Push(&s.events, event{at: s.now + delay, seq: s.eventSq, fn: fn})
+	s.events.push(event{at: s.now + delay, seq: s.eventSq, fn: fn})
 }
 
 // fire marks a signal fired, readies its waiters, and fires any chained
@@ -505,7 +607,7 @@ func (s *Sim) StartFlow(src, dst int, bytes float64) (*Signal, error) {
 		}
 		s.nextFlowID++
 		f := &flow{id: s.nextFlowID, src: src, dst: dst, links: links, remaining: bytes, done: sg, started: s.now}
-		s.flows[f.id] = f
+		s.flows = append(s.flows, f)
 		s.ratesDirty = true
 		if s.Tracer != nil {
 			s.Tracer.record(FlowEvent{Kind: FlowStart, Time: s.now, ID: f.id, Src: src, Dst: dst,
@@ -524,10 +626,16 @@ func (p *Proc) Now() float64 { return p.sim.now }
 // Sim returns the simulator owning this process.
 func (p *Proc) Sim() *Sim { return p.sim }
 
-// yield parks the process until the scheduler resumes it.
+// yield parks the process until the scheduler resumes it. A process
+// resumed by release (the run failed) exits instead of returning.
 func (p *Proc) yield() {
-	p.sim.yielded <- struct{}{}
-	<-p.resume
+	if !p.sim.aborting {
+		p.sim.yielded <- struct{}{}
+		<-p.resume
+	}
+	if p.sim.aborting {
+		runtime.Goexit()
+	}
 }
 
 // Wait blocks until the signal fires (returns immediately if it already

@@ -2,8 +2,10 @@ package simnet
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hsgraph"
 	"repro/internal/rng"
@@ -433,5 +435,36 @@ func TestLinkStatsDisabledByDefault(t *testing.T) {
 		if l.Bytes != 0 {
 			t.Fatal("nonzero load reported without tracking")
 		}
+	}
+}
+
+// TestRunErrorLeaksNoGoroutines checks that a Run ending in deadlock or in
+// a process panic releases every parked process goroutine.
+func TestRunErrorLeaksNoGoroutines(t *testing.T) {
+	nw := testNetwork(t, Config{})
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		s := NewSim(nw)
+		never := s.NewSignal()
+		for h := 0; h < 8; h++ {
+			h := h
+			s.Spawn(h%nw.Hosts(), func(p *Proc) {
+				p.Sleep(float64(h) * 1e-6)
+				if i%2 == 1 && h == 3 {
+					panic("boom")
+				}
+				p.Wait(never)
+			})
+		}
+		if err := s.Run(); err == nil {
+			t.Fatal("Run succeeded; want deadlock or panic error")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after failed runs, %d before", n, base)
 	}
 }
