@@ -462,6 +462,44 @@ func TestCLISolveKillAndResume(t *testing.T) {
 	}
 }
 
+// TestCLIRetiredLadderEvalMode: the retired "-eval-mode ladder" spelling
+// still runs in every CLI that takes the flag, as incremental evaluation
+// with byte-identical output.
+func TestCLIRetiredLadderEvalMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI pipeline in -short mode")
+	}
+	graph, _ := runTool(t, "orptopo", nil, "-kind", "hypercube", "-dims", "5", "-n", "64", "-q")
+	for _, tc := range []struct {
+		tool  string
+		stdin []byte
+		args  []string
+	}{
+		{"orpsolve", nil, []string{"-n", "64", "-r", "8", "-iters", "1500"}},
+		{"orpgolf", nil, []string{"-n", "16", "-d", "3", "-iters", "1500"}},
+		{"orpfault", []byte(graph), []string{"-model", "links", "-frac", "0.05", "-seed", "7",
+			"-repair", "-repair-iters", "500"}},
+	} {
+		outputs := map[string][]byte{}
+		for _, mode := range []string{"ladder", "incremental"} {
+			file := filepath.Join(t.TempDir(), "out")
+			args := append([]string{"-eval-mode", mode, "-o", file}, tc.args...)
+			if tc.stdin != nil {
+				args = append(args, "-")
+			}
+			runTool(t, tc.tool, tc.stdin, args...)
+			b, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outputs[mode] = b
+		}
+		if len(outputs["ladder"]) == 0 || !bytes.Equal(outputs["ladder"], outputs["incremental"]) {
+			t.Fatalf("%s: -eval-mode ladder output differs from incremental", tc.tool)
+		}
+	}
+}
+
 // TestCLIFaultSweepInterruptAndResume interrupts a checkpointing sweep
 // with SIGINT (the engine saves its trial ledger and exits 130) and
 // checks the resumed sweep reproduces the uninterrupted JSON output.

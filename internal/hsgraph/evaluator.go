@@ -32,7 +32,7 @@ type Evaluator struct {
 	dist  []int32
 	queue []int32
 
-	srcs   []int32 // host-bearing switches, gathered per call
+	srcs   []int32 // host-bearing orbit representatives, gathered per call
 	shards []evalShard
 
 	// Per-round job state: written by the caller before waking the pool,
@@ -112,18 +112,12 @@ func (e *Evaluator) worker(id int) {
 	}
 }
 
-// Evaluate computes the same Metrics as Graph.Evaluate, sharded over the
-// pool. Results are exactly equal (including the partial TotalPath of
-// disconnected graphs) for every worker count.
+// Evaluate computes the graph's Metrics, sharded over the pool. Results
+// are exactly equal (including the partial TotalPath of disconnected
+// graphs) for every worker count.
 func (e *Evaluator) Evaluate(g *Graph) Metrics {
-	total, pairs, diam, allAttached, trivial := e.gather(g)
-	if trivial {
-		if len(e.srcs) == 0 {
-			return g.finishMetrics(0, 0, 0, allAttached && g.n <= 1)
-		}
-		return g.finishMetrics(total, pairs, diam, allAttached)
-	}
-	return e.apsp(g, total, pairs, diam, allAttached)
+	met, _ := e.EvaluateOrbit(g, 1)
+	return met
 }
 
 // Energy is the annealing hot path: it returns the total host-pair path
@@ -131,40 +125,98 @@ func (e *Evaluator) Evaluate(g *Graph) Metrics {
 // connectivity first, so moves that disconnect the switch graph fail in
 // O(edges) instead of paying the full all-pairs sweep.
 func (e *Evaluator) Energy(g *Graph) (int64, bool) {
-	total, pairs, diam, allAttached, trivial := e.gather(g)
-	if trivial {
-		if len(e.srcs) == 0 {
-			return 0, allAttached && g.n <= 1
-		}
-		return total, allAttached
-	}
-	if !allAttached || !e.connectedQuick(g, len(e.srcs)) {
-		return 0, false
-	}
-	met := e.apsp(g, total, pairs, diam, allAttached)
-	return met.TotalPath, met.Connected
+	energy, connected, _ := e.EnergyOrbit(g, 1)
+	return energy, connected
 }
 
-// gather collects the host-bearing switches into e.srcs and returns the
-// intra-switch contribution. trivial is true when no all-pairs sweep is
-// needed (zero or one host-bearing switch). allAttached is false when
-// some host has no switch (which disconnects the graph).
-func (e *Evaluator) gather(g *Graph) (total, pairs int64, diam int, allAttached, trivial bool) {
+// EvaluateOrbit is Evaluate for a graph closed under the cyclic group
+// action of order sym (see VerifySymmetric): it sweeps one bit-parallel
+// BFS per host-bearing switch orbit and scales the representative
+// aggregates by the orbit size, ~sym× fewer sweeps for bit-identical
+// Metrics. sym <= 1 is the generic case. Every call verifies the symmetry
+// first and returns an error for inputs that break it: a quotient sweep
+// of an asymmetric graph would silently mis-evaluate, so the contract is
+// fail-loud.
+func (e *Evaluator) EvaluateOrbit(g *Graph, sym int) (Metrics, error) {
+	sym = max(sym, 1)
+	if err := VerifySymmetric(g, sym); err != nil {
+		return Metrics{}, err
+	}
+	total, pairs, diam, bearing, allAttached := e.gather(g, sym)
+	switch bearing {
+	case 0:
+		return g.finishMetrics(0, 0, 0, allAttached && g.n <= 1), nil
+	case 1:
+		return g.finishMetrics(total, pairs, diam, allAttached), nil
+	}
+	orderedSum, reachablePairs, orderedWeighted, sweepDiam := e.runSweep(g)
+	if sweepDiam > diam {
+		diam = sweepDiam
+	}
+	total, connected := fold(sym, total, orderedSum, reachablePairs, bearing)
+	pairs += int64(sym) * orderedWeighted / 2
+	return g.finishMetrics(total, pairs, diam, connected && allAttached), nil
+}
+
+// EnergyOrbit is Energy for a graph closed under the cyclic group action
+// of order sym, with EvaluateOrbit's fail-loud symmetry check.
+func (e *Evaluator) EnergyOrbit(g *Graph, sym int) (int64, bool, error) {
+	sym = max(sym, 1)
+	if err := VerifySymmetric(g, sym); err != nil {
+		return 0, false, err
+	}
+	total, _, _, bearing, allAttached := e.gather(g, sym)
+	switch bearing {
+	case 0:
+		return 0, allAttached && g.n <= 1, nil
+	case 1:
+		return total, allAttached, nil
+	}
+	if !allAttached || !e.connectedQuick(g, bearing) {
+		return 0, false, nil
+	}
+	orderedSum, reachablePairs, _, _ := e.runSweep(g)
+	total, connected := fold(sym, total, orderedSum, reachablePairs, bearing)
+	return total, connected, nil
+}
+
+// gather collects the host-bearing orbit representatives (the switches in
+// [0, m/sym); every host-bearing switch when sym == 1) into e.srcs and
+// returns the intra-switch contribution plus the total host-bearing
+// switch count. allAttached is false when some host has no switch (which
+// disconnects the graph).
+func (e *Evaluator) gather(g *Graph, sym int) (total, pairs int64, diam, bearing int, allAttached bool) {
 	e.srcs = e.srcs[:0]
+	q := len(g.adj) / sym
 	var attached int64
 	for s := range g.adj {
 		k := int64(g.hosts[s])
-		if k > 0 {
+		if k == 0 {
+			continue
+		}
+		bearing++
+		attached += k
+		total += k * (k - 1) // 2 * C(k,2)
+		pairs += k * (k - 1) / 2
+		if k >= 2 && diam < 2 {
+			diam = 2
+		}
+		if s < q {
 			e.srcs = append(e.srcs, int32(s))
-			attached += k
-			total += k * (k - 1) // 2 * C(k,2)
-			pairs += k * (k - 1) / 2
-			if k >= 2 && diam < 2 {
-				diam = 2
-			}
 		}
 	}
-	return total, pairs, diam, attached == int64(g.n), len(e.srcs) <= 1
+	return total, pairs, diam, bearing, attached == int64(g.n)
+}
+
+// fold merges a sweep's ordered sums into the graph totals. Orbit images
+// contribute row aggregates identical to their representative's, so the
+// full ordered sums are sym times the representative sums; every
+// distinct reachable host-bearing pair is then counted once per
+// direction, so the path sum is halved and the ordered reachable pair
+// count compared against bearing·(bearing−1).
+func fold(sym int, total, orderedSum, reachablePairs int64, bearing int) (int64, bool) {
+	connected := int64(sym)*reachablePairs == int64(bearing)*int64(bearing-1)
+	return total + int64(sym)*orderedSum/2, connected
 }
 
 // connectedQuick reports whether want host-bearing switches (the total
@@ -201,29 +253,10 @@ func (e *Evaluator) connectedQuick(g *Graph, want int) bool {
 	return bearing == want
 }
 
-// apsp runs the sharded bit-parallel all-pairs sweep and finishes the
-// metrics. total, pairs and diam carry the intra-switch contribution from
-// gather.
-func (e *Evaluator) apsp(g *Graph, total, pairs int64, diam int, allAttached bool) Metrics {
-	n := len(e.srcs)
-	orderedSum, reachablePairs, orderedWeighted, sweepDiam := e.runSweep(g)
-	if sweepDiam > diam {
-		diam = sweepDiam
-	}
-	// Every distinct reachable host-bearing pair is counted once per
-	// direction across all shards; halve the ordered sums and compare the
-	// ordered pair count against n(n-1).
-	connected := reachablePairs == int64(n)*int64(n-1) && allAttached
-	total += orderedSum / 2
-	pairs += orderedWeighted / 2
-	return g.finishMetrics(total, pairs, diam, connected)
-}
-
 // runSweep runs the sharded bit-parallel sweep from the sources currently
 // in e.srcs and merges the per-shard partials: the ordered weighted path
 // sum, the ordered reachable (source, target) pair count, the ordered
-// host-pair count and the sweep diameter. The OrbitEvaluator reuses it
-// with orbit-representative sources only.
+// host-pair count and the sweep diameter.
 func (e *Evaluator) runSweep(g *Graph) (orderedSum, reachablePairs, orderedWeighted int64, diam int) {
 	n := len(e.srcs)
 	// Chunks hold at most 64 sources (one machine word); when the pool is
@@ -294,8 +327,9 @@ func (e *Evaluator) runShards(sh *evalShard) {
 
 // sweepBatch runs one bit-parallel BFS with the batch sources in the word
 // lanes, weighting every newly reached host-bearing switch by the host
-// counts of the sources that reached it (the same recurrence as
-// Graph.Evaluate, over private scratch).
+// counts of the sources that reached it. This is the package's only
+// full-sweep kernel: Graph.Evaluate, EvaluateOrbit and the perf registry
+// all run through it.
 func (e *Evaluator) sweepBatch(sh *evalShard, batch []int32) {
 	g := e.g
 	m := len(g.adj)

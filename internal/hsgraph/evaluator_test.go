@@ -114,7 +114,7 @@ func randomEvalGraph(t *testing.T, rnd *rng.Rand) *Graph {
 
 // TestEvaluatorDifferential is the equivalence proof behind the sharded
 // engine: on >= 100 randomized graphs, the per-source BFS oracle
-// (EvaluateSlow), the serial bit-parallel sweep (Evaluate) and the sharded
+// (EvaluateSlow), the one-worker sweep (Graph.Evaluate) and the sharded
 // engine (EvaluateParallel / Evaluator) must agree exactly on TotalPath,
 // Diameter, HASPL and connectivity — for every worker count, including
 // pools wider than the source word count.
@@ -170,14 +170,14 @@ func TestEvaluatorDifferential(t *testing.T) {
 }
 
 // TestEvaluatorTrivialRegimes pins the no-sweep shortcuts against the
-// serial implementations: unattached hosts, a single host-bearing switch,
+// plain-BFS oracle: unattached hosts, a single host-bearing switch,
 // and the single-host graph.
 func TestEvaluatorTrivialRegimes(t *testing.T) {
 	ev := NewEvaluator(4)
 	defer ev.Close()
 
 	unattached := New(3, 2, 4) // no hosts attached anywhere
-	if got, want := ev.Evaluate(unattached), unattached.Evaluate(); got != want {
+	if got, want := ev.Evaluate(unattached), unattached.EvaluateSlow(); got != want {
 		t.Fatalf("unattached hosts: %+v != %+v", got, want)
 	}
 
@@ -187,7 +187,7 @@ func TestEvaluatorTrivialRegimes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := single.Evaluate()
+	want := single.EvaluateSlow()
 	if got := ev.Evaluate(single); got != want || !got.Connected || got.HASPL != 2 {
 		t.Fatalf("single bearing switch: %+v != %+v", ev.Evaluate(single), want)
 	}
@@ -199,8 +199,8 @@ func TestEvaluatorTrivialRegimes(t *testing.T) {
 	if err := lone.AttachHost(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Evaluate(lone); got != lone.Evaluate() {
-		t.Fatalf("single host: %+v != %+v", got, lone.Evaluate())
+	if got := ev.Evaluate(lone); got != lone.EvaluateSlow() {
+		t.Fatalf("single host: %+v != %+v", got, lone.EvaluateSlow())
 	}
 }
 

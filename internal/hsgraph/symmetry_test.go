@@ -184,12 +184,8 @@ func TestVerifySymmetric(t *testing.T) {
 // Energy to the generic serial evaluation, at every worker count.
 func TestOrbitEvaluatorDifferential(t *testing.T) {
 	rnd := rng.New(20260808)
-	shared := map[int]*OrbitEvaluator{} // long-lived, reused across graphs
-	defer func() {
-		for _, oe := range shared {
-			oe.Close()
-		}
-	}()
+	shared := NewEvaluator(3) // long-lived, reused across graphs and orbit orders
+	defer shared.Close()
 	trials, disconnected, unattached := 0, 0, 0
 	for trials < 220 {
 		g, sym := symTestGraph(t, rnd)
@@ -208,15 +204,15 @@ func TestOrbitEvaluatorDifferential(t *testing.T) {
 			unattached++
 		}
 		for _, workers := range []int{1, 2, 3, 8, bearing + 1} {
-			oe := NewOrbitEvaluator(workers, sym)
-			got, err := oe.Evaluate(g)
+			oe := NewEvaluator(workers)
+			got, err := oe.EvaluateOrbit(g, sym)
 			if err != nil {
 				t.Fatalf("trial %d %v sym=%d workers=%d: Evaluate: %v", trials, g, sym, workers, err)
 			}
 			if got != want {
 				t.Fatalf("trial %d %v sym=%d workers=%d: orbit %+v != generic %+v", trials, g, sym, workers, got, want)
 			}
-			e, ok, err := oe.Energy(g)
+			e, ok, err := oe.EnergyOrbit(g, sym)
 			if err != nil {
 				t.Fatalf("trial %d %v sym=%d workers=%d: Energy: %v", trials, g, sym, workers, err)
 			}
@@ -225,21 +221,20 @@ func TestOrbitEvaluatorDifferential(t *testing.T) {
 			}
 			oe.Close()
 		}
-		// A long-lived OrbitEvaluator must behave identically across
-		// graphs of varying switch counts (buffer reuse) and repeats.
-		oe := shared[sym]
-		if oe == nil {
-			oe = NewOrbitEvaluator(3, sym)
-			shared[sym] = oe
-		}
+		// A long-lived Evaluator must behave identically across graphs of
+		// varying switch counts and orbit orders (buffer reuse) and
+		// repeats, with the generic order agreeing too.
 		for rep := 0; rep < 2; rep++ {
-			got, err := oe.Evaluate(g)
+			got, err := shared.EvaluateOrbit(g, sym)
 			if err != nil {
 				t.Fatalf("trial %d sym=%d: shared Evaluate: %v", trials, sym, err)
 			}
 			if got != want {
 				t.Fatalf("trial %d sym=%d rep %d: shared orbit %+v != generic %+v", trials, sym, rep, got, want)
 			}
+		}
+		if got := shared.Evaluate(g); got != want {
+			t.Fatalf("trial %d: shared generic sweep %+v != oracle %+v", trials, got, want)
 		}
 		// Orbit-mode incremental cache: attach-time rebuild must agree.
 		ie := NewOrbitIncrementalEvaluator(1+rnd.Intn(4), sym)
@@ -345,12 +340,12 @@ func TestOrbitEvaluatorRejectsAsymmetric(t *testing.T) {
 			break
 		}
 	}
-	oe := NewOrbitEvaluator(2, sym)
+	oe := NewEvaluator(2)
 	defer oe.Close()
-	if _, err := oe.Evaluate(g); err == nil || !strings.Contains(err.Error(), "symmetry") {
+	if _, err := oe.EvaluateOrbit(g, sym); err == nil || !strings.Contains(err.Error(), "symmetry") {
 		t.Fatalf("Evaluate on asymmetric graph: want symmetry error, got %v", err)
 	}
-	if _, _, err := oe.Energy(g); err == nil || !strings.Contains(err.Error(), "symmetry") {
+	if _, _, err := oe.EnergyOrbit(g, sym); err == nil || !strings.Contains(err.Error(), "symmetry") {
 		t.Fatalf("Energy on asymmetric graph: want symmetry error, got %v", err)
 	}
 
@@ -453,9 +448,9 @@ func FuzzOrbitEval(f *testing.F) {
 		rnd := rng.New(seed)
 		g, sym := symTestGraph(t, rnd)
 		want := g.EvaluateSlow()
-		oe := NewOrbitEvaluator(1+int(seed%4), sym)
+		oe := NewEvaluator(1 + int(seed%4))
 		defer oe.Close()
-		got, err := oe.Evaluate(g)
+		got, err := oe.EvaluateOrbit(g, sym)
 		if err != nil {
 			t.Fatalf("Evaluate: %v", err)
 		}
@@ -481,7 +476,7 @@ func FuzzOrbitEval(f *testing.F) {
 		if ok != want.Connected || (ok && e != want.TotalPath) {
 			t.Fatalf("post-edit incremental Energy (%d,%v) inconsistent with %+v", e, ok, want)
 		}
-		got, err = oe.Evaluate(g)
+		got, err = oe.EvaluateOrbit(g, sym)
 		if err != nil {
 			t.Fatalf("post-edit Evaluate: %v", err)
 		}

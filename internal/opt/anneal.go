@@ -70,6 +70,78 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("Schedule(%d)", int(s))
 }
 
+// EvalMode selects how the annealer evaluates candidate moves. Every mode
+// judges each move by its exact energy, so every mode produces the same
+// accepted-move sequence and the same final graphs for a given seed; they
+// differ only in how much work a decision costs.
+type EvalMode int
+
+const (
+	// EvalExact evaluates every candidate with the full sharded sweep
+	// (hsgraph.Evaluator). The reference mode; the default.
+	EvalExact EvalMode = iota
+	// EvalIncremental evaluates every candidate exactly, but through the
+	// dirty-source cache (hsgraph.IncrementalEvaluator): only sources
+	// whose BFS trees can have changed are re-swept. Energies are
+	// bit-identical to EvalExact, so decisions trivially agree.
+	EvalIncremental
+	// evalRetiredLadder (2) was a sampled-bound mode whose decisions were
+	// always EvalIncremental's. The value stays reserved because
+	// snapshots store the mode as an integer: one that carries it
+	// resumes as EvalIncremental.
+	evalRetiredLadder
+	// EvalSymmetric evaluates through the orbit-quotient incremental
+	// cache (hsgraph.NewOrbitIncrementalEvaluator): only orbit-
+	// representative sources are cached and re-swept, ~Symmetry× fewer
+	// than EvalIncremental, with the fold scaled by the orbit size for
+	// bit-identical energies. Requires Options.Symmetry >= 2 and a start
+	// graph closed under the group action; the symmetric move operators
+	// (enabled by Options.Symmetry with any mode) keep it closed.
+	EvalSymmetric
+)
+
+func (e EvalMode) String() string {
+	switch e {
+	case EvalExact:
+		return "exact"
+	case EvalIncremental:
+		return "incremental"
+	case EvalSymmetric:
+		return "symmetric"
+	}
+	return fmt.Sprintf("EvalMode(%d)", int(e))
+}
+
+// ParseEvalMode parses the CLI spelling of an evaluation mode. The retired
+// spelling "ladder" still parses, as EvalIncremental: its decisions were
+// identical.
+func ParseEvalMode(s string) (EvalMode, error) {
+	switch s {
+	case "exact", "":
+		return EvalExact, nil
+	case "incremental", "ladder":
+		return EvalIncremental, nil
+	case "symmetric":
+		return EvalSymmetric, nil
+	}
+	return 0, fmt.Errorf("opt: unknown evaluation mode %q (want exact, incremental or symmetric)", s)
+}
+
+// acceptExact is the Metropolis rule: accept downhill moves outright,
+// uphill moves with probability exp(-delta/temp), consuming one draw only
+// in the uphill case. A disconnected candidate (math.MaxInt64) is
+// rejected without a draw.
+func acceptExact(candidate, cur int64, temp float64, rnd *rng.Rand) bool {
+	if candidate == math.MaxInt64 {
+		return false
+	}
+	delta := candidate - cur
+	if delta <= 0 {
+		return true
+	}
+	return rnd.Float64() < math.Exp(-float64(delta)/temp)
+}
+
 // Options configures Anneal. The zero value is usable: sensible defaults
 // are filled in for every unset field.
 type Options struct {
@@ -115,14 +187,12 @@ type Options struct {
 	// The result is identical for every worker count; only throughput
 	// changes. ParallelAnneal resolves 0 to a share of GOMAXPROCS.
 	Workers int
-	// Eval selects the evaluation ladder rung (see EvalMode). The default
-	// EvalExact evaluates every candidate with the full sweep;
-	// EvalIncremental re-sweeps only dirty sources; EvalLadder adds the
-	// sampled-source bound with escalation; EvalSymmetric quotients the
-	// incremental cache by the cyclic group action (requires Symmetry).
-	// All modes yield the same accepted-move sequence for a seed (ladder:
-	// whenever its confidence bounds hold, which is all but ~1e-6 of
-	// estimates).
+	// Eval selects how candidates are evaluated (see EvalMode). The
+	// default EvalExact evaluates every candidate with the full sweep;
+	// EvalIncremental re-sweeps only dirty sources; EvalSymmetric
+	// quotients the incremental cache by the cyclic group action
+	// (requires Symmetry). All modes yield the same accepted-move
+	// sequence for a seed.
 	Eval EvalMode
 	// Symmetry, when >= 2, restricts the search to graphs closed under
 	// the cyclic group action σ(s) = (s + m/Symmetry) mod m: the start
@@ -187,7 +257,7 @@ type Result struct {
 	// iterations (only with Options.TraceEnergy; see EnergyTraceMax).
 	EnergyTrace       []float64
 	EnergyTraceStride int
-	// Eval snapshots the evaluation-ladder counters at the end of the run
+	// Eval snapshots the incremental cache's counters at the end of the run
 	// (all zero in EvalExact mode, and reset by a resume — see telemetry).
 	// CLIs use it to surface silent performance degradations such as
 	// IncStats.PeekStoreSkips. Excluded from JSON: the counters are
@@ -208,12 +278,8 @@ type annealState struct {
 	temp               float64
 	iter               int
 	rnd                *rng.Rand
-	// estRnd is the ladder estimator's private stream (nil outside
-	// EvalLadder). It is checkpointed: a resumed ladder run replays the
-	// same source samples and hence the same escalation pattern.
-	estRnd *rng.Rand
-	res    Result
-	tel    telemetry
+	res                Result
+	tel                telemetry
 }
 
 // validateOptions rejects senseless inputs. It deliberately fills no
@@ -245,7 +311,7 @@ func validateOptions(o *Options) error {
 		return fmt.Errorf("opt: unknown schedule %v", o.Schedule)
 	}
 	switch o.Eval {
-	case EvalExact, EvalIncremental, EvalLadder, EvalSymmetric:
+	case EvalExact, EvalIncremental, EvalSymmetric:
 	default:
 		return fmt.Errorf("opt: unknown evaluation mode %v", o.Eval)
 	}
@@ -336,11 +402,6 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 // o, resolving InitialTemp/FinalTemp to their effective values.
 func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator) (*annealState, error) {
 	st := &annealState{rnd: rng.New(o.Seed)}
-	if o.Eval == EvalLadder {
-		// A private stream, derived from the seed but never touching the
-		// decision RNG: sampling noise must not perturb the move draws.
-		st.estRnd = rng.New(o.Seed ^ ladderSeedSalt)
-	}
 	st.g = start.Clone()
 	cur := ev.Evaluate(st.g)
 	if !cur.Connected {
@@ -355,7 +416,7 @@ func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator) (*a
 		o.InitialTemp, o.FinalTemp = hillClimbTemp, hillClimbTemp
 	}
 	if o.InitialTemp == 0 {
-		o.InitialTemp = calibrateTemp(st.g, o.Moves, o.Symmetry, st.rnd.Split(), ev)
+		o.InitialTemp = calibrateTemp(st.g, o.Moves, max(o.Symmetry, 1), st.rnd.Split(), ev)
 	}
 	if o.FinalTemp == 0 {
 		o.FinalTemp = o.InitialTemp / 200
@@ -377,26 +438,22 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 	cool := math.Pow(o.FinalTemp/o.InitialTemp, 1/math.Max(1, float64(o.Iterations-1)))
 	linStep := (o.InitialTemp - o.FinalTemp) / math.Max(1, float64(o.Iterations-1))
 
-	// The evaluation ladder: decide judges the current (mutated) graph
-	// against st.energy at st.temp. Exact mode pays a full sweep per
-	// candidate; incremental mode the dirty-source re-sweep; ladder mode
-	// consults the sampled bound first and escalates only when the
-	// decision is within it. All modes consume st.rnd identically (one
-	// draw per connected uphill candidate), so the accepted-move sequence
-	// is seed-determined, not mode-determined.
-	var ladder *ladderEval
+	// decide judges the current (mutated) graph against st.energy at
+	// st.temp. Exact mode pays a full sweep per candidate; the cache-backed
+	// modes peek the exact candidate energy through the dirty-source cache
+	// and commit rows only for accepted candidates, so rejected ones roll
+	// back for free. Both consume st.rnd identically (one draw per
+	// connected uphill candidate), so the accepted-move sequence is
+	// seed-determined, not mode-determined.
+	var inc *hsgraph.IncrementalEvaluator
 	if o.Eval != EvalExact {
-		workers := o.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		sym := 1
+		cacheSym := 1
 		if o.Eval == EvalSymmetric {
-			sym = o.Symmetry
+			cacheSym = o.Symmetry
 		}
-		ladder = &ladderEval{inc: hsgraph.NewOrbitIncrementalEvaluator(workers, sym), estRnd: st.estRnd}
+		inc = hsgraph.NewOrbitIncrementalEvaluator(o.Workers, cacheSym)
 	}
-	st.tel.ladder = ladder
+	st.tel.inc = inc
 
 	// The loop span brackets the iteration range this call actually runs
 	// (a resumed run starts past zero); checkpoint writes open children so
@@ -404,61 +461,36 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 	loop := o.Span.Child("anneal.loop")
 	loop.SetF("start-iter", float64(st.iter))
 	decide := func() (int64, bool) {
-		if o.Eval == EvalLadder {
-			return ladder.decide(st.g, st.energy, st.temp, st.rnd)
+		var e int64
+		var connected, peeked bool
+		if inc == nil {
+			e, connected = ev.Energy(st.g)
+		} else if e, connected, peeked = inc.PeekEnergy(st.g); !peeked {
+			e, connected = inc.Energy(st.g) // unattached cache: commit attaches it
 		}
-		if o.Eval == EvalIncremental || o.Eval == EvalSymmetric {
-			// Peek the exact candidate energy without committing rows;
-			// only accepted candidates pay the cache update, so rejected
-			// ones roll back for free.
-			e, connected, ok := ladder.inc.PeekEnergy(st.g)
-			if !ok {
-				e, connected = ladder.inc.Energy(st.g)
-			}
-			if !connected {
-				e = math.MaxInt64
-			}
-			accepted := acceptExact(e, st.energy, st.temp, st.rnd)
-			if accepted {
-				ladder.inc.Energy(st.g)
-			}
-			return e, accepted
-		}
-		e, connected := ev.Energy(st.g)
 		if !connected {
 			e = math.MaxInt64
 		}
-		return e, acceptExact(e, st.energy, st.temp, st.rnd)
+		accepted := acceptExact(e, st.energy, st.temp, st.rnd)
+		if accepted && peeked {
+			inc.Energy(st.g) // commit the peeked rows
+		}
+		return e, accepted
 	}
 
+	// Symmetry 0 and 1 both mean generic: at order 1 the orbit swing
+	// operators are the plain Fig. 3/4 operations (swaps: see proposeMove).
+	sym := max(o.Symmetry, 1)
 	for iter := st.iter; iter < o.Iterations; iter++ {
 		switch o.Moves {
 		case TwoNeighborSwing:
 			res.Proposed++
-			var e int64
-			var moved bool
-			if o.Symmetry > 1 {
-				e, moved = symTwoNeighborSwing(st.g, o.Symmetry, st.rnd, decide, &res.Moves)
-			} else {
-				e, moved = twoNeighborSwing(st.g, st.rnd, decide, &res.Moves)
-			}
-			if moved {
+			if e, moved := symTwoNeighborSwing(st.g, sym, st.rnd, decide, &res.Moves); moved {
 				st.energy = e
 				res.Accepted++
 			}
 		case SwapOnly, SwingOnly:
-			var u undo
-			var ok bool
-			switch {
-			case o.Moves == SwapOnly && o.Symmetry > 1:
-				u, ok = trySymSwap(st.g, o.Symmetry, st.rnd)
-			case o.Moves == SwapOnly:
-				u, ok = trySwap(st.g, st.rnd)
-			case o.Symmetry > 1:
-				u, ok = trySymSwing(st.g, o.Symmetry, st.rnd)
-			default:
-				u, ok = trySwing(st.g, st.rnd)
-			}
+			u, ok := proposeMove(st.g, o.Moves, sym, st.rnd)
 			if ok {
 				res.Proposed++
 				if o.Moves == SwapOnly {
@@ -518,7 +550,7 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 		}
 		if interrupted && st.iter < o.Iterations {
 			res.Iterations = st.iter
-			res.Eval = ladder.stats()
+			res.Eval = incStats(inc)
 			loop.SetF("iter", float64(st.iter))
 			loop.SetS("outcome", "interrupted")
 			loop.End()
@@ -527,7 +559,7 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 		}
 	}
 	res.Iterations = o.Iterations
-	res.Eval = ladder.stats()
+	res.Eval = incStats(inc)
 	st.tel.finish(&o, res)
 	loop.SetF("iter", float64(st.iter))
 	loop.SetS("outcome", "done")
@@ -554,11 +586,11 @@ type telemetry struct {
 	stride   int // energy-trace decimation stride, in ReportEvery units
 	interval int // aligned intervals seen so far
 	buf      []float64
-	// ladder, when the run evaluates through the incremental cache, lets
-	// samples carry the rung/cache counters (EvalStats). Not part of the
+	// inc, when the run evaluates through the incremental cache, lets
+	// samples carry its counters (EvalStats). Not part of the
 	// checkpointed state: a resumed run restarts the counters, which only
 	// affects observer samples, never the Result.
-	ladder *ladderEval
+	inc *hsgraph.IncrementalEvaluator
 }
 
 func (t *telemetry) init(o Options) {
@@ -617,7 +649,7 @@ func (t *telemetry) sample(o *Options, res *Result, iter int, temp float64, curr
 			Moves:       res.Moves,
 			MovesPerSec: rate,
 			Elapsed:     now.Sub(t.start).Seconds(),
-			Eval:        t.ladder.stats(),
+			Eval:        incStats(t.inc),
 		})
 		t.lastTime, t.lastIter = now, iter
 	}
@@ -646,18 +678,7 @@ func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, ev *
 	var sum float64
 	count := 0
 	for i := 0; i < 40; i++ {
-		var u undo
-		var ok bool
-		switch {
-		case moves == SwapOnly && sym > 1:
-			u, ok = trySymSwap(scratch, sym, rnd)
-		case moves == SwapOnly:
-			u, ok = trySwap(scratch, rnd)
-		case sym > 1:
-			u, ok = trySymSwing(scratch, sym, rnd)
-		default:
-			u, ok = trySwing(scratch, rnd)
-		}
+		u, ok := proposeMove(scratch, moves, sym, rnd)
 		if !ok {
 			continue
 		}

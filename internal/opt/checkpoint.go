@@ -11,8 +11,9 @@ import (
 
 // annealKind names the snapshot payload layout. Bump the suffix when the
 // layout changes; old files are then rejected with a clear error instead
-// of being misparsed. v2 added the evaluation mode and the ladder
-// estimator's RNG stream; v3 added the symmetry order.
+// of being misparsed. v2 added the evaluation mode and a four-word slot
+// for the retired sampled-bound mode's RNG stream (now written as zeros
+// and ignored on read); v3 added the symmetry order.
 const annealKind = "orp.anneal.v3"
 
 // Decode caps. A snapshot that claims more than these is corrupt (or
@@ -46,9 +47,6 @@ type annealSnapshot struct {
 	temp               float64
 	energy, bestEnergy int64
 	rngState           [4]uint64
-	// estRngState is the ladder estimator's stream; all-zero (and ignored)
-	// outside EvalLadder.
-	estRngState [4]uint64
 
 	accepted, proposed int
 	moveCounters       MoveCounters
@@ -90,12 +88,8 @@ func writeAnnealCheckpoint(path string, st *annealState, o *Options) error {
 	for _, s := range st.rnd.State() {
 		e.U64(s)
 	}
-	var estState [4]uint64
-	if st.estRnd != nil {
-		estState = st.estRnd.State()
-	}
-	for _, s := range estState {
-		e.U64(s)
+	for range 4 {
+		e.U64(0) // retired estimator stream slot
 	}
 
 	e.Int(st.res.Accepted)
@@ -155,8 +149,8 @@ func decodeAnnealSnapshot(payload []byte) (*annealSnapshot, error) {
 	for i := range s.rngState {
 		s.rngState[i] = d.U64()
 	}
-	for i := range s.estRngState {
-		s.estRngState[i] = d.U64()
+	for range 4 {
+		d.U64() // retired estimator stream slot
 	}
 
 	s.accepted = d.Int()
@@ -209,14 +203,15 @@ func decodeAnnealSnapshot(payload []byte) (*annealSnapshot, error) {
 		return nil, fmt.Errorf("opt: checkpoint: invalid move counts accepted=%d proposed=%d", s.accepted, s.proposed)
 	case s.restart < 0:
 		return nil, fmt.Errorf("opt: checkpoint: negative restart %d", s.restart)
-	case s.eval != EvalExact && s.eval != EvalIncremental && s.eval != EvalLadder && s.eval != EvalSymmetric:
+	case s.eval != EvalExact && s.eval != EvalIncremental && s.eval != evalRetiredLadder && s.eval != EvalSymmetric:
 		return nil, fmt.Errorf("opt: checkpoint: unknown evaluation mode %d", int(s.eval))
-	case s.eval == EvalLadder && s.estRngState == [4]uint64{}:
-		return nil, fmt.Errorf("opt: checkpoint: ladder mode with empty estimator RNG state")
 	case s.symmetry < 1:
 		return nil, fmt.Errorf("opt: checkpoint: implausible symmetry order %d", s.symmetry)
 	case s.eval == EvalSymmetric && s.symmetry < 2:
 		return nil, fmt.Errorf("opt: checkpoint: symmetric evaluation mode with symmetry order %d", s.symmetry)
+	}
+	if s.eval == evalRetiredLadder {
+		s.eval = EvalIncremental // its decisions were always incremental's
 	}
 	return s, nil
 }
@@ -332,17 +327,10 @@ func loadAnnealState(path string, o *Options, ev *hsgraph.Evaluator) (*annealSta
 	if err != nil {
 		return nil, fmt.Errorf("opt: resume %s: %w", path, err)
 	}
-	var estRnd *rng.Rand
-	if s.eval == EvalLadder {
-		if estRnd, err = rng.FromState(s.estRngState); err != nil {
-			return nil, fmt.Errorf("opt: resume %s: estimator stream: %w", path, err)
-		}
-	}
-
 	st := &annealState{
 		g: g, best: best,
 		energy: s.energy, bestEnergy: s.bestEnergy,
-		temp: s.temp, iter: s.iter, rnd: rnd, estRnd: estRnd,
+		temp: s.temp, iter: s.iter, rnd: rnd,
 		res: Result{
 			Initial:     s.initial,
 			Accepted:    s.accepted,

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/hsgraph"
+	"repro/internal/rng"
 )
 
 // progressPoint is one OnProgress observation: with ReportEvery=1 the
@@ -37,9 +40,9 @@ func runWithTrajectory(t *testing.T, o Options, seed uint64) ([]byte, Result, []
 	return graphBytes(t, g), res, traj
 }
 
-// TestEvalModesProduceIdenticalRuns is the ladder's headline property:
-// for the same seed, every rung of the evaluation ladder — exact,
-// incremental, ladder — produces the identical accepted-move sequence
+// TestEvalModesProduceIdenticalRuns is the evaluation stack's headline
+// property: for the same seed, exact and incremental evaluation produce
+// the identical accepted-move sequence
 // (same current/best energy after every iteration), the identical Result
 // (move counters included) and the identical final best graph, across
 // move sets and schedules.
@@ -66,7 +69,7 @@ func TestEvalModesProduceIdenticalRuns(t *testing.T) {
 			exactO := base
 			exactO.Eval = EvalExact
 			wantG, wantRes, wantTraj := runWithTrajectory(t, exactO, seed)
-			for _, mode := range []EvalMode{EvalIncremental, EvalLadder} {
+			for _, mode := range []EvalMode{EvalIncremental} {
 				for _, workers := range []int{1, 3} {
 					o := base
 					o.Eval = mode
@@ -95,15 +98,15 @@ func TestEvalModesProduceIdenticalRuns(t *testing.T) {
 	}
 }
 
-// TestLadderKillResume: a ladder-mode run interrupted at an arbitrary
-// iteration and resumed from its snapshot — including with a different
-// worker count — is bit-identical to the uninterrupted ladder run (and
-// hence to the exact run, by TestEvalModesProduceIdenticalRuns). This is
-// what the v2 checkpoint's estimator-stream field exists for.
+// TestLadderKillResume (named for the retired sampled-bound mode, whose
+// spelling now runs as incremental): an incremental-mode run interrupted
+// at an arbitrary iteration and resumed from its snapshot — including
+// with a different worker count — is bit-identical to the uninterrupted
+// run (and hence to the exact run, by TestEvalModesProduceIdenticalRuns).
 func TestLadderKillResume(t *testing.T) {
 	start := randomGraph(t, 48, 12, 8, 5)
 	o := ckptBaseOptions()
-	o.Eval = EvalLadder
+	o.Eval = EvalIncremental
 	wantG, wantRes, err := Anneal(start, o)
 	if err != nil {
 		t.Fatal(err)
@@ -118,10 +121,10 @@ func TestLadderKillResume(t *testing.T) {
 		{799, 2, 2},
 	}
 	for _, tc := range cases {
-		path := filepath.Join(t.TempDir(), "ladder.ckpt")
+		path := filepath.Join(t.TempDir(), "incremental.ckpt")
 		var stop atomic.Bool
 		ko := ckptBaseOptions()
-		ko.Eval = EvalLadder
+		ko.Eval = EvalIncremental
 		ko.CheckpointPath = path
 		ko.CheckpointEvery = 100
 		ko.Interrupt = &stop
@@ -136,7 +139,7 @@ func TestLadderKillResume(t *testing.T) {
 		}
 
 		ro := ckptBaseOptions()
-		ro.Eval = EvalLadder
+		ro.Eval = EvalIncremental
 		ro.CheckpointPath = path
 		ro.Resume = true
 		ro.Workers = tc.resumeWorkers
@@ -148,14 +151,103 @@ func TestLadderKillResume(t *testing.T) {
 	}
 }
 
+// TestResumeRetiredLadderSnapshot: an orp.anneal.v3 snapshot written by
+// the retired sampled-bound mode — eval=2 and a non-zero estimator RNG
+// state — still resumes, as an incremental run, bit-identical to the
+// uninterrupted incremental run. The snapshot is crafted through the
+// production encoder, with the estimator slot patched in afterwards.
+func TestResumeRetiredLadderSnapshot(t *testing.T) {
+	start := randomGraph(t, 48, 12, 8, 5)
+	mode, err := ParseEvalMode("ladder")
+	if err != nil || mode != EvalIncremental {
+		t.Fatalf(`ParseEvalMode("ladder") = %v, %v; want incremental`, mode, err)
+	}
+	o := ckptBaseOptions()
+	o.Eval = mode
+	wantG, wantRes, err := Anneal(start, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Take a real mid-run snapshot, reload its state and re-encode it as
+	// the retired mode would have.
+	path := filepath.Join(t.TempDir(), "ladder.ckpt")
+	var stop atomic.Bool
+	ko := ckptBaseOptions()
+	ko.Eval = mode
+	ko.CheckpointPath = path
+	ko.Interrupt = &stop
+	ko.OnProgress = func(iter int, _, _ int64) {
+		if iter == 313 {
+			stop.Store(true)
+		}
+	}
+	if _, _, err := Anneal(start, ko); !errors.Is(err, ckpt.ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	lo := ckptBaseOptions()
+	lo.Eval = mode
+	ev := hsgraph.NewEvaluator(1)
+	defer ev.Close()
+	st, err := loadAnnealState(path, &lo, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo.Eval = evalRetiredLadder
+	lo.CheckpointEvery = ko.CheckpointEvery
+	if err := writeAnnealCheckpoint(path, st, &lo); err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := ckpt.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The estimator slot is the four words right after the decision RNG.
+	var rngWords []byte
+	for _, w := range st.rnd.State() {
+		rngWords = binary.LittleEndian.AppendUint64(rngWords, w)
+	}
+	at := bytes.Index(payload, rngWords)
+	if at < 0 {
+		t.Fatal("decision RNG state not found in the snapshot payload")
+	}
+	slot := payload[at+len(rngWords) : at+2*len(rngWords)]
+	if !bytes.Equal(slot, make([]byte, len(slot))) {
+		t.Fatalf("estimator slot not written as zeros: %x", slot)
+	}
+	for i, w := range rng.New(0xb5ad4eceda1ce2a9).State() {
+		binary.LittleEndian.PutUint64(slot[8*i:], w)
+	}
+	if err := ckpt.WriteFile(path, kind, payload); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := decodeAnnealSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.eval != EvalIncremental || raw.iter != 313 {
+		t.Fatalf("decoded retired snapshot: eval=%v iter=%d, want incremental at 313", raw.eval, raw.iter)
+	}
+
+	ro := ckptBaseOptions()
+	ro.Eval = mode
+	ro.CheckpointPath = path
+	ro.Resume = true
+	gotG, gotRes, err := Anneal(start, ro)
+	if err != nil {
+		t.Fatalf("resume retired snapshot: %v", err)
+	}
+	requireIdentical(t, wantG, gotG, wantRes, gotRes)
+}
+
 // TestLadderResumeFingerprintsEvalMode: a snapshot taken in one
-// evaluation mode refuses to resume in another — silently switching rungs
-// mid-run would invalidate the checkpointed estimator stream.
+// evaluation mode refuses to resume in another — a resume that silently
+// switched modes would break the options fingerprint contract.
 func TestLadderResumeFingerprintsEvalMode(t *testing.T) {
 	start := randomGraph(t, 48, 12, 8, 5)
 	path := filepath.Join(t.TempDir(), "anneal.ckpt")
 	o := ckptBaseOptions()
-	o.Eval = EvalLadder
+	o.Eval = EvalIncremental
 	o.CheckpointPath = path
 	o.CheckpointEvery = 100
 	if _, _, err := Anneal(start, o); err != nil {
@@ -172,7 +264,7 @@ func TestLadderResumeFingerprintsEvalMode(t *testing.T) {
 }
 
 // TestParallelAnnealLadder: the restart tournament picks the same winner
-// on every rung.
+// in incremental mode as in exact mode.
 func TestParallelAnnealLadder(t *testing.T) {
 	start := randomGraph(t, 48, 12, 8, 5)
 	base := Options{Iterations: 300, Seed: 21}
@@ -180,19 +272,17 @@ func TestParallelAnnealLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EvalMode{EvalIncremental, EvalLadder} {
-		o := base
-		o.Eval = mode
-		g, res, err := ParallelAnneal(start, o, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(graphBytes(t, exactG), graphBytes(t, g)) {
-			t.Fatalf("%v: ParallelAnneal winner differs from exact mode", mode)
-		}
-		res.Eval = EvalStats{} // diagnostics differ by mode by design
-		if !reflect.DeepEqual(exactRes, res) {
-			t.Fatalf("%v: ParallelAnneal results differ:\nexact %+v\ngot   %+v", mode, exactRes, res)
-		}
+	o := base
+	o.Eval = EvalIncremental
+	g, res, err := ParallelAnneal(start, o, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(graphBytes(t, exactG), graphBytes(t, g)) {
+		t.Fatal("incremental ParallelAnneal winner differs from exact mode")
+	}
+	res.Eval = EvalStats{} // diagnostics differ by mode by design
+	if !reflect.DeepEqual(exactRes, res) {
+		t.Fatalf("ParallelAnneal results differ:\nexact %+v\ngot   %+v", exactRes, res)
 	}
 }

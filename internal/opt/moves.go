@@ -79,98 +79,19 @@ func applySwing(g *hsgraph.Graph, a, b, c int) (undo, bool) {
 	}, true
 }
 
-// trySwing samples a random swing operation.
-func trySwing(g *hsgraph.Graph, rnd *rng.Rand) (undo, bool) {
-	ne := g.NumEdges()
-	m := g.Switches()
-	if ne < 1 || m < 3 {
-		return nil, false
+// proposeMove samples one swap or swing move (the 2-neighbor swing set
+// calibrates its temperature with swings) under the order-sym group
+// action; sym == 1 is the generic operator.
+func proposeMove(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand) (undo, bool) {
+	switch {
+	case moves != SwapOnly:
+		return trySymSwing(g, sym, rnd)
+	case sym > 1:
+		return trySymSwap(g, sym, rnd)
 	}
-	for attempt := 0; attempt < 8; attempt++ {
-		a, b := g.Edge(rnd.Intn(ne))
-		if rnd.Intn(2) == 0 {
-			a, b = b, a
-		}
-		c := rnd.Intn(m)
-		if u, ok := applySwing(g, a, b, c); ok {
-			return u, true
-		}
-	}
-	return nil, false
-}
-
-// twoNeighborSwing implements the paper's 2-neighbor swing operation
-// (Fig. 4). decide is the annealer's verdict on the current (mutated)
-// graph: it returns the candidate's exact energy and whether the move is
-// accepted; rejecting verdicts may skip the energy (the returned value is
-// only used on acceptance). The operation:
-//
-//	Step 1: apply swing(a, b, c); if accepted, keep it (1-neighbor).
-//	Step 3: otherwise apply swing(d, c, b) — using the host that step 1
-//	        moved onto b — yielding the swap of {a,b} and {d,c}; if
-//	        accepted, keep it (2-neighbor). Otherwise restore the input.
-//
-// Returns whether a move was kept. mc (non-nil) receives the per-step
-// attempt/accept telemetry: step 1 counts as a swing, step 3 as a
-// counter-swing.
-func twoNeighborSwing(g *hsgraph.Graph, rnd *rng.Rand,
-	decide func() (int64, bool), mc *MoveCounters) (int64, bool) {
-
-	ne := g.NumEdges()
-	m := g.Switches()
-	if ne < 1 || m < 3 {
-		return 0, false
-	}
-	var a, b, c int
-	var undo1 undo
-	found := false
-	for attempt := 0; attempt < 8 && !found; attempt++ {
-		a, b = g.Edge(rnd.Intn(ne))
-		if rnd.Intn(2) == 0 {
-			a, b = b, a
-		}
-		c = rnd.Intn(m)
-		if u, ok := applySwing(g, a, b, c); ok {
-			undo1, found = u, true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	mc.SwingAttempts++
-	if e1, accepted := decide(); accepted {
-		mc.SwingAccepts++
-		return e1, true
-	}
-	// Step 3: swing(d, c, b) for a neighbour d of c (d != a, b), moving the
-	// host back from b to c and producing the swap {a,c},{d,b}.
-	// Preconditions of applySwing(d, c, b): edge {d,c} exists, b has a
-	// host (it does: step 1 moved one there), and {d,b} absent.
-	neighbors := g.Neighbors(c)
-	// Deterministic random scan order over c's neighbours.
-	start := 0
-	if len(neighbors) > 0 {
-		start = rnd.Intn(len(neighbors))
-	}
-	for i := 0; i < len(neighbors); i++ {
-		d := int(neighbors[(start+i)%len(neighbors)])
-		if d == a || d == b {
-			continue
-		}
-		undo2, ok := applySwing(g, d, c, b)
-		if !ok {
-			continue
-		}
-		mc.CounterAttempts++
-		if e2, accepted := decide(); accepted {
-			mc.CounterAccepts++
-			return e2, true
-		}
-		undo2()
-		break // paper evaluates a single 2-neighbor candidate
-	}
-	undo1()
-	return 0, false
+	// Not trySymSwap(g, 1, rnd): its undo replays in reverse order, which
+	// permutes the edge list and so forks every later move sample.
+	return trySwap(g, rnd)
 }
 
 func mustDo(err error) {

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/hsgraph"
@@ -65,7 +66,7 @@ func TestSwingMovesOneHost(t *testing.T) {
 	moved := 0
 	for i := 0; i < 200; i++ {
 		before := g.Clone()
-		u, ok := trySwing(g, rnd)
+		u, ok := trySymSwing(g, 1, rnd)
 		if !ok {
 			continue
 		}
@@ -172,7 +173,7 @@ func TestTwoNeighborSwingAlwaysReject(t *testing.T) {
 	rnd := rng.New(6)
 	reject := func() (int64, bool) { return g.Evaluate().TotalPath, false }
 	for i := 0; i < 50; i++ {
-		if _, moved := twoNeighborSwing(g, rnd, reject, &MoveCounters{}); moved {
+		if _, moved := symTwoNeighborSwing(g, 1, rnd, reject, &MoveCounters{}); moved {
 			t.Fatal("move kept despite rejecting acceptor")
 		}
 		if !hsgraph.Equal(g, before) {
@@ -187,7 +188,7 @@ func TestTwoNeighborSwingAlwaysAccept(t *testing.T) {
 	accept := func() (int64, bool) { return g.Evaluate().TotalPath, true }
 	kept := 0
 	for i := 0; i < 50; i++ {
-		if _, moved := twoNeighborSwing(g, rnd, accept, &MoveCounters{}); moved {
+		if _, moved := symTwoNeighborSwing(g, 1, rnd, accept, &MoveCounters{}); moved {
 			kept++
 		}
 		if err := g.Validate(); err != nil && err != hsgraph.ErrNotConnected {
@@ -207,7 +208,7 @@ func TestTwoNeighborSwingSecondStepIsSwap(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		before := g.Clone()
 		calls := 0
-		_, moved := twoNeighborSwing(g, rnd, func() (int64, bool) {
+		_, moved := symTwoNeighborSwing(g, 1, rnd, func() (int64, bool) {
 			calls++
 			return g.Evaluate().TotalPath, calls == 2
 		}, &MoveCounters{})
@@ -225,4 +226,140 @@ func TestTwoNeighborSwingSecondStepIsSwap(t *testing.T) {
 		return
 	}
 	t.Skip("never reached a 2-neighbor acceptance in 100 tries")
+}
+
+// refTrySwing and refTwoNeighborSwing are the generic (pre-orbit) swing
+// operators, kept as reference oracles for TestOrbitOperatorsAtOrderOne.
+func refTrySwing(g *hsgraph.Graph, rnd *rng.Rand) (undo, bool) {
+	ne := g.NumEdges()
+	m := g.Switches()
+	if ne < 1 || m < 3 {
+		return nil, false
+	}
+	for attempt := 0; attempt < 8; attempt++ {
+		a, b := g.Edge(rnd.Intn(ne))
+		if rnd.Intn(2) == 0 {
+			a, b = b, a
+		}
+		c := rnd.Intn(m)
+		if u, ok := applySwing(g, a, b, c); ok {
+			return u, true
+		}
+	}
+	return nil, false
+}
+
+func refTwoNeighborSwing(g *hsgraph.Graph, rnd *rng.Rand, decide func() (int64, bool), mc *MoveCounters) (int64, bool) {
+	ne := g.NumEdges()
+	m := g.Switches()
+	if ne < 1 || m < 3 {
+		return 0, false
+	}
+	var a, b, c int
+	var undo1 undo
+	found := false
+	for attempt := 0; attempt < 8 && !found; attempt++ {
+		a, b = g.Edge(rnd.Intn(ne))
+		if rnd.Intn(2) == 0 {
+			a, b = b, a
+		}
+		c = rnd.Intn(m)
+		if u, ok := applySwing(g, a, b, c); ok {
+			undo1, found = u, true
+		}
+	}
+	if !found {
+		return 0, false
+	}
+	mc.SwingAttempts++
+	if e1, accepted := decide(); accepted {
+		mc.SwingAccepts++
+		return e1, true
+	}
+	neighbors := g.Neighbors(c)
+	start := 0
+	if len(neighbors) > 0 {
+		start = rnd.Intn(len(neighbors))
+	}
+	for i := 0; i < len(neighbors); i++ {
+		d := int(neighbors[(start+i)%len(neighbors)])
+		if d == a || d == b {
+			continue
+		}
+		undo2, ok := applySwing(g, d, c, b)
+		if !ok {
+			continue
+		}
+		mc.CounterAttempts++
+		if e2, accepted := decide(); accepted {
+			mc.CounterAccepts++
+			return e2, true
+		}
+		undo2()
+		break
+	}
+	undo1()
+	return 0, false
+}
+
+// TestOrbitOperatorsAtOrderOne pins why the generic swing operators could
+// go: at sym == 1 the orbit swing and 2-neighbor swing draw the RNG and
+// mutate the graph exactly as the generic operators do — same graph, same
+// edge, adjacency and host order (the order-preserving state codec), same
+// RNG state and same move counters after every move, accepted or undone.
+func TestOrbitOperatorsAtOrderOne(t *testing.T) {
+	type step func(g *hsgraph.Graph, rnd, verdicts *rng.Rand, mc *MoveCounters)
+	// A verdict stream shared move for move by both sides: random accepts
+	// and rejects so both the keep and the undo paths are exercised.
+	decider := func(verdicts *rng.Rand) func() (int64, bool) {
+		return func() (int64, bool) { return 0, verdicts.Intn(3) == 0 }
+	}
+	swing := func(try func(*hsgraph.Graph, *rng.Rand) (undo, bool)) step {
+		return func(g *hsgraph.Graph, rnd, verdicts *rng.Rand, mc *MoveCounters) {
+			if u, ok := try(g, rnd); ok {
+				mc.SwingAttempts++
+				if _, accept := decider(verdicts)(); accept {
+					mc.SwingAccepts++
+				} else {
+					u()
+				}
+			}
+		}
+	}
+	pairs := []struct {
+		name      string
+		got, want step
+	}{
+		{"swing",
+			swing(func(g *hsgraph.Graph, rnd *rng.Rand) (undo, bool) { return trySymSwing(g, 1, rnd) }),
+			swing(refTrySwing)},
+		{"2-neighbor-swing",
+			func(g *hsgraph.Graph, rnd, verdicts *rng.Rand, mc *MoveCounters) {
+				symTwoNeighborSwing(g, 1, rnd, decider(verdicts), mc)
+			},
+			func(g *hsgraph.Graph, rnd, verdicts *rng.Rand, mc *MoveCounters) {
+				refTwoNeighborSwing(g, rnd, decider(verdicts), mc)
+			}},
+	}
+	for _, p := range pairs {
+		for seed := uint64(1); seed <= 20; seed++ {
+			gotG, wantG := randomGraph(t, 48, 12, 8, seed), randomGraph(t, 48, 12, 8, seed)
+			gotR, wantR := rng.New(seed), rng.New(seed)
+			gotV, wantV := rng.New(^seed), rng.New(^seed)
+			var gotMC, wantMC MoveCounters
+			for move := 0; move < 300; move++ {
+				p.got(gotG, gotR, gotV, &gotMC)
+				p.want(wantG, wantR, wantV, &wantMC)
+				if !bytes.Equal(gotG.MarshalState(), wantG.MarshalState()) {
+					t.Fatalf("%s seed=%d move %d: graph state diverged", p.name, seed, move)
+				}
+				if gotR.State() != wantR.State() || gotV.State() != wantV.State() {
+					t.Fatalf("%s seed=%d move %d: RNG streams diverged", p.name, seed, move)
+				}
+				if gotMC != wantMC {
+					t.Fatalf("%s seed=%d move %d: counters %+v != %+v", p.name, seed, move, gotMC, wantMC)
+				}
+			}
+		}
+	}
 }

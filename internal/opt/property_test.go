@@ -35,11 +35,11 @@ func TestPropertyMovesPreserveInvariants(t *testing.T) {
 					u()
 				}
 			case 1:
-				if u, ok := trySwing(g, rnd); ok && rnd.Intn(2) == 0 {
+				if u, ok := trySymSwing(g, 1, rnd); ok && rnd.Intn(2) == 0 {
 					u()
 				}
 			case 2:
-				twoNeighborSwing(g, rnd, decide, &MoveCounters{})
+				symTwoNeighborSwing(g, 1, rnd, decide, &MoveCounters{})
 			}
 			if g.NumEdges() != edges {
 				return false

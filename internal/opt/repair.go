@@ -29,14 +29,11 @@ type RepairOptions struct {
 	// radix budget. Callers repairing a fault.Degraded typically pass
 	// its FailedLinks count.
 	MaxNewLinks int
-	// Eval selects the evaluation rung of the warm-start anneal (see
+	// Eval selects the evaluation mode of the warm-start anneal (see
 	// EvalMode). EvalExact (the default) pays a full sharded sweep per
 	// candidate swap; EvalIncremental re-sweeps only the dirty sources
 	// through hsgraph.IncrementalEvaluator — bit-identical energies, so
-	// the repaired graph is identical move for move. EvalLadder is
-	// accepted and runs as EvalIncremental: the repair polish is too
-	// short and too cold for the sampled-bound rung to pay for its
-	// estimator stream.
+	// the repaired graph is identical move for move.
 	Eval EvalMode
 }
 
@@ -64,7 +61,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 		return nil, RepairResult{}, fmt.Errorf("opt: nil degraded graph")
 	}
 	switch o.Eval {
-	case EvalExact, EvalIncremental, EvalLadder:
+	case EvalExact, EvalIncremental:
 	default:
 		return nil, RepairResult{}, fmt.Errorf("opt: unknown evaluation mode %v", o.Eval)
 	}

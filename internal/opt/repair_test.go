@@ -104,8 +104,7 @@ func TestRepairSwitchFailure(t *testing.T) {
 // RepairOptions.Eval: the incremental evaluator returns bit-identical
 // energies to the exact sharded sweep, so every accept decision, RNG
 // draw, and therefore the repaired graph itself must match move for
-// move. Ladder is accepted too and runs as incremental in the repair
-// polish.
+// move.
 func TestRepairEvalModesBitIdentical(t *testing.T) {
 	_, d := degrade(t, 0.08)
 	base := RepairOptions{Iterations: 800, Seed: 21, MaxNewLinks: d.FailedLinks}
@@ -114,7 +113,7 @@ func TestRepairEvalModesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EvalMode{EvalIncremental, EvalLadder} {
+	for _, mode := range []EvalMode{EvalIncremental} {
 		o := base
 		o.Eval = mode
 		g, r, err := Repair(d.Graph, nil, o)

@@ -9,8 +9,11 @@ import (
 // operation applied simultaneously to a whole orbit of the cyclic group
 // action σ(s) = (s + m/sym) mod m — the base move plus its sym-1 images.
 // A graph that enters sym-symmetric leaves sym-symmetric, which is what
-// lets the orbit-quotient evaluators (hsgraph.OrbitEvaluator, orbit-mode
-// IncrementalEvaluator) keep quotienting throughout an anneal.
+// lets the orbit-quotient evaluators (hsgraph.Evaluator.EvaluateOrbit,
+// orbit-mode IncrementalEvaluator) keep quotienting throughout an anneal.
+// At sym == 1 the swing operators are exactly the generic Fig. 3/4
+// operations — same RNG draws, same edge, adjacency and host order — and
+// serve every generic run.
 //
 // Pairs fixed by the half-turn σ^(sym/2) (endpoints m/2 apart, even sym
 // only) have short orbits that the uniform image loop would double-touch;
@@ -134,6 +137,9 @@ func trySymSwap(g *hsgraph.Graph, sym int, rnd *rng.Rand) (undo, bool) {
 // unchanged) on the standard swing preconditions, on antipodal {a,b} or
 // {a,c}, and on any image collision.
 func applySymSwing(g *hsgraph.Graph, sym, a, b, c int) (undo, bool) {
+	if sym == 1 {
+		return applySwing(g, a, b, c)
+	}
 	m := g.Switches()
 	if symAntipodal(m, sym, a, b) || symAntipodal(m, sym, a, c) {
 		return nil, false
@@ -172,9 +178,20 @@ func trySymSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand) (undo, bool) {
 	return nil, false
 }
 
-// symTwoNeighborSwing is the 2-neighbor swing operation (Fig. 4) under the
-// group action, mirroring twoNeighborSwing move for move with orbit-wide
-// swings. decide and mc have the same contracts.
+// symTwoNeighborSwing implements the paper's 2-neighbor swing operation
+// (Fig. 4) with orbit-wide swings. decide is the annealer's verdict on the
+// current (mutated) graph: it returns the candidate's exact energy and
+// whether the move is accepted; rejecting verdicts may skip the energy
+// (the returned value is only used on acceptance). The operation:
+//
+//	Step 1: apply swing(a, b, c); if accepted, keep it (1-neighbor).
+//	Step 3: otherwise apply swing(d, c, b) — using the host that step 1
+//	        moved onto b — yielding the swap of {a,b} and {d,c}; if
+//	        accepted, keep it (2-neighbor). Otherwise restore the input.
+//
+// Returns whether a move was kept. mc (non-nil) receives the per-step
+// attempt/accept telemetry: step 1 counts as a swing, step 3 as a
+// counter-swing.
 func symTwoNeighborSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand,
 	decide func() (int64, bool), mc *MoveCounters) (int64, bool) {
 
@@ -204,9 +221,10 @@ func symTwoNeighborSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand,
 		mc.SwingAccepts++
 		return e1, true
 	}
-	// Step 3: the counter-swing swing(d, c, b) applied orbit-wide — the
-	// base images put a host on every b_j, so each image's precondition
-	// holds unless its own collision rolls the orbit back.
+	// Step 3: the counter-swing swing(d, c, b) for a neighbour d of c
+	// (d != a, b), applied orbit-wide — step 1 put a host on every b_j, so
+	// each image's precondition holds unless its own collision rolls the
+	// orbit back. c's neighbours are scanned from a random offset.
 	neighbors := g.Neighbors(c)
 	start := 0
 	if len(neighbors) > 0 {
@@ -227,7 +245,7 @@ func symTwoNeighborSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand,
 			return e2, true
 		}
 		undo2()
-		break // a single 2-neighbor candidate, as in the generic operator
+		break // the paper evaluates a single 2-neighbor candidate
 	}
 	undo1()
 	return 0, false

@@ -46,7 +46,7 @@ func init() {
 	registerAnnealObservedSpans()
 	registerAnnealStored()
 	registerAnnealSharded()
-	registerAnnealLadder()
+	registerAnnealEvalModes()
 	registerEvalOrbit()
 	registerAnnealSymmetric()
 	registerSimnet("CG")
@@ -111,7 +111,7 @@ func registerEval(n, r int) {
 			if err != nil {
 				return nil, err
 			}
-			want := g.Evaluate().TotalPath
+			want := g.EvaluateSlow().TotalPath
 			ev := hsgraph.NewEvaluator(runtime.GOMAXPROCS(0))
 			return &Instance{
 				Run: func() (float64, error) {
@@ -127,10 +127,11 @@ func registerEval(n, r int) {
 }
 
 // registerEvalIncremental measures the dirty-source resweep that backs
-// the evaluation ladder: a fixed script of edge remove/re-add moves, each
-// followed by an incremental Energy, so the cost per move is the resweep
-// of the move's dirty cone rather than a full sweep. The script restores
-// the starting edge set, so every rep does identical work.
+// the incremental evaluation mode: a fixed script of edge remove/re-add
+// moves, each followed by an incremental Energy, so the cost per move is
+// the resweep of the move's dirty cone rather than a full sweep. The
+// script restores the starting edge set, so every rep does identical
+// work.
 func registerEvalIncremental(n, r int) {
 	const moves = 32
 	Register(Workload{
@@ -386,21 +387,21 @@ func registerAnnealSharded() {
 	})
 }
 
-// registerAnnealLadder pits the evaluation ladder against the exact rung
-// at paper scale (n=1024): same graph, same seed, same accepted-move
-// sequence by construction, so the moves/s ratio between the two
-// workloads is the ladder speedup. r=9 swing moves put the dirty cone at
-// ~a quarter of the switches, the regime the ladder is built for; a
-// single worker keeps the comparison a straight single-thread one
-// instead of measuring goroutine scheduling.
-func registerAnnealLadder() {
+// registerAnnealEvalModes pits the incremental cache against the exact
+// full sweep at paper scale (n=1024): same graph, same seed, same
+// accepted-move sequence by construction, so the moves/s ratio between
+// the two workloads is the incremental speedup. r=9 swing moves put the
+// dirty cone at ~a quarter of the switches; a single worker keeps the
+// comparison a straight single-thread one instead of measuring goroutine
+// scheduling.
+func registerAnnealEvalModes() {
 	const n, r, iters = 1024, 9, 2000
-	for _, mode := range []opt.EvalMode{opt.EvalExact, opt.EvalLadder} {
+	for _, mode := range []opt.EvalMode{opt.EvalExact, opt.EvalIncremental} {
 		mode := mode
 		Register(Workload{
 			Name:   fmt.Sprintf("anneal/%s/n=%d,r=%d,iters=%d", mode, n, r, iters),
 			Family: "anneal",
-			Doc:    fmt.Sprintf("SA hot path at paper scale, %s evaluation rung", mode),
+			Doc:    fmt.Sprintf("SA hot path at paper scale, %s evaluation", mode),
 			Unit:   "moves",
 			Setup: func(Config) (*Instance, error) {
 				start, err := evalGraph(n, r)
@@ -546,11 +547,11 @@ func registerCkpt() {
 	})
 }
 
-// registerEvalOrbit pits the orbit-quotient evaluator against the plain
-// bit-parallel sweep on the same 4-symmetric graph at n=4096. Both run a
+// registerEvalOrbit pits the Evaluator's orbit order g=4 against its
+// generic order g=1 on the same 4-symmetric graph at n=4096. Both run a
 // single worker, so the throughput ratio is the quotient speedup itself:
-// the orbit evaluator sweeps one source per orbit (m/g of them) and
-// scales the aggregates by g for bit-identical totals.
+// the orbit sweep covers one source per orbit (m/g of them) and scales
+// the aggregates by g for bit-identical totals.
 func registerEvalOrbit() {
 	const n, m, r, sym = 4096, 1024, 12, 4
 	pairs := float64(n) * float64(n-1) / 2
@@ -565,11 +566,11 @@ func registerEvalOrbit() {
 			if err != nil {
 				return nil, err
 			}
-			want := g.Evaluate().TotalPath
-			oe := hsgraph.NewOrbitEvaluator(1, sym)
+			want := g.EvaluateSlow().TotalPath
+			ev := hsgraph.NewEvaluator(1)
 			return &Instance{
 				Run: func() (float64, error) {
-					met, err := oe.Evaluate(g)
+					met, err := ev.EvaluateOrbit(g, sym)
 					if err != nil {
 						return 0, err
 					}
@@ -578,7 +579,7 @@ func registerEvalOrbit() {
 					}
 					return pairs, nil
 				},
-				Close: oe.Close,
+				Close: ev.Close,
 			}, nil
 		},
 	})
@@ -592,7 +593,7 @@ func registerEvalOrbit() {
 			if err != nil {
 				return nil, err
 			}
-			want := g.Evaluate().TotalPath
+			want := g.EvaluateSlow().TotalPath
 			ev := hsgraph.NewEvaluator(1)
 			return &Instance{
 				Run: func() (float64, error) {
@@ -609,13 +610,13 @@ func registerEvalOrbit() {
 
 // registerAnnealSymmetric is the tentpole's headline measurement: the SA
 // move loop on a 4-symmetric n=4096 instance, symmetric move operators in
-// both workloads, differing only in the evaluation rung — the generic
-// ladder versus the orbit-quotient symmetric mode. Both produce the
+// both workloads, differing only in the evaluation mode — the generic
+// incremental cache versus the orbit-quotient symmetric mode. Both produce the
 // identical accepted-move sequence (the eval-equivalence property), so
 // the moves/s ratio is exactly the orbit-quotient speedup; the issue's
 // acceptance bar is >= 3x at this size. Explicit temperatures skip the
 // calibration phase and a single worker keeps it a straight
-// single-thread comparison, as in registerAnnealLadder.
+// single-thread comparison, as in registerAnnealEvalModes.
 func registerAnnealSymmetric() {
 	const n, m, r, iters, sym = 4096, 1024, 12, 600, 4
 	for _, w := range []struct {
@@ -623,8 +624,8 @@ func registerAnnealSymmetric() {
 		doc  string
 		mode opt.EvalMode
 	}{
-		{"anneal/symmetric-ladder", "symmetric SA moves on the generic ladder rung (the comparator)", opt.EvalLadder},
-		{"anneal/symmetric", "symmetric SA moves on the orbit-quotient rung", opt.EvalSymmetric},
+		{"anneal/symmetric-incremental", "symmetric SA moves on the generic incremental cache (the comparator)", opt.EvalIncremental},
+		{"anneal/symmetric", "symmetric SA moves on the orbit-quotient cache", opt.EvalSymmetric},
 	} {
 		w := w
 		Register(Workload{

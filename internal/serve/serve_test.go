@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/hsgraph"
 	"repro/internal/obs"
+	"repro/internal/opt"
 	"repro/internal/rng"
 )
 
@@ -174,6 +175,41 @@ func TestAnnealJobInlineGraph(t *testing.T) {
 	}
 	if g.Fingerprint().String() != res.Fingerprint {
 		t.Fatal("graphText does not match fingerprint")
+	}
+}
+
+// TestRetiredLadderEvalMode: the retired "ladder" spelling still runs,
+// as incremental evaluation with a byte-identical result, and its cache
+// key is unchanged, so results stored under it keep hitting.
+func TestRetiredLadderEvalMode(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	spec := func(mode string) JobSpec {
+		return JobSpec{Type: TypeAnneal, N: 48, M: 16, R: 6, GraphSeed: 3,
+			Iterations: 2000, Seed: 5, EvalMode: mode}
+	}
+	ladder := spec("ladder")
+	g, mode, _, err := ladder.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode != opt.EvalIncremental {
+		t.Fatalf("ladder spec parsed as %v, want incremental", mode)
+	}
+	// Pinned from the implementation that still had the sampled-bound mode.
+	const wantKey = "bfa2ef84a2ba33efbc60ab4ad0ef171ec37e67194ffc0a4fecc371ec3ff01077"
+	if key := ladder.cacheKey(g); key != wantKey {
+		t.Fatalf("ladder cache key changed: %s, want %s", key, wantKey)
+	}
+	got := submitDone(t, s, spec("ladder"))
+	want := submitDone(t, s, spec("incremental"))
+	if got.Cached || want.Cached {
+		t.Fatal("ladder and incremental specs shared a cache entry")
+	}
+	if !bytes.Equal(got.Result, want.Result) {
+		t.Fatalf("ladder result differs from incremental:\n%s\n%s", got.Result, want.Result)
+	}
+	if again := submitDone(t, s, spec("ladder")); !again.Cached || !bytes.Equal(again.Result, got.Result) {
+		t.Fatal("ladder resubmission missed its cache entry")
 	}
 }
 

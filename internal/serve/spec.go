@@ -72,7 +72,7 @@ type JobSpec struct {
 	Iterations int    `json:"iterations,omitempty"` // default 50000 (core.Solve's default)
 	Seed       uint64 `json:"seed,omitempty"`
 	Restarts   int    `json:"restarts,omitempty"` // independent SA runs, best wins; default 1
-	EvalMode   string `json:"evalMode,omitempty"` // exact|incremental|ladder (opt.ParseEvalMode)
+	EvalMode   string `json:"evalMode,omitempty"` // exact|incremental|symmetric (opt.ParseEvalMode)
 
 	// Sweep options (TypeSweep).
 	Model     string    `json:"model,omitempty"`     // links|switches|bundles|targeted
@@ -165,10 +165,11 @@ const cacheKeyDomain = "orp.serve.job.v2"
 // canonical identity of the query. Every result-defining field goes in —
 // the graph (by canonical fingerprint, so storage order is invisible) or
 // its generation parameters, and all engine options including the
-// evaluation mode (exact/incremental are bit-identical by construction,
-// but ladder carries a ~1e-6 sampled-bound failure probability, so modes
-// are conservatively kept distinct). Workers and Priority stay out:
-// results are worker-invariant and scheduling never changes a result.
+// evaluation mode as spelled (modes are bit-identical by construction,
+// but keys kept them distinct while a sampled mode existed, and the
+// retired "ladder" spelling keeps its keys so stored results still hit).
+// Workers and Priority stay out: results are worker-invariant and
+// scheduling never changes a result.
 func (sp *JobSpec) cacheKey(g *hsgraph.Graph) string {
 	h := sha256.New()
 	w := func(parts ...any) {

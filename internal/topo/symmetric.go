@@ -10,10 +10,10 @@ import (
 // g-symmetric seed generation (à la the reference implementation's
 // ORP_Generate_random_s): random host-switch graphs closed under the
 // cyclic group action σ(s) = (s + m/sym) mod m, so that the orbit-quotient
-// evaluator (hsgraph.OrbitEvaluator, orbit-mode IncrementalEvaluator) can
-// sweep one BFS per switch orbit instead of one per switch. Host counts
-// are constant on every orbit and every edge is added together with its
-// sym-1 images.
+// evaluators (hsgraph.Evaluator.EvaluateOrbit, orbit-mode
+// IncrementalEvaluator) can sweep one BFS per switch orbit instead of one
+// per switch. Host counts are constant on every orbit and every edge is
+// added together with its sym-1 images.
 //
 // Edges fixed by the half-turn σ^(sym/2) — endpoints exactly m/2 apart,
 // possible only for even sym — have orbits of size sym/2 rather than sym.
