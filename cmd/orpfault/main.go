@@ -159,7 +159,9 @@ func runSweep(g *hsgraph.Graph, m fault.Model, fracSpec string, trials int, seed
 		Resume:          resume,
 	}
 	if checkpoint != "" {
-		so.Interrupt = cliutil.Interrupt()
+		var stop func()
+		so.Interrupt, stop = cliutil.Interrupt()
+		defer stop()
 	}
 	if metricsAddr != "" {
 		reg := obs.NewRegistry()

@@ -157,7 +157,9 @@ func main() {
 		Resume:          *resume,
 	}
 	if *checkpoint != "" {
-		o.Interrupt = cliutil.Interrupt()
+		var stop func()
+		o.Interrupt, stop = cliutil.Interrupt()
+		defer stop()
 	}
 	if *resume {
 		nres := *restarts

@@ -92,18 +92,40 @@ func openSink(path string, appendMode bool) (*SinkFile, error) {
 // engine writes a final checkpoint and returns ckpt.ErrInterrupted; a
 // second signal aborts immediately with the conventional 128+SIGINT
 // status.
-func Interrupt() *atomic.Bool {
-	flag := &atomic.Bool{}
+//
+// Like signal.NotifyContext, the handling is scoped: stop unregisters the
+// handler and returns once its goroutine has exited, after which signals
+// get their default behaviour again. Callers defer stop; calling it more
+// than once is harmless.
+func Interrupt() (flag *atomic.Bool, stop func()) {
+	flag = &atomic.Bool{}
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	quit := make(chan struct{})
+	exited := make(chan struct{})
 	go func() {
-		<-ch
+		defer close(exited)
+		select {
+		case <-ch:
+		case <-quit:
+			return
+		}
 		flag.Store(true)
 		fmt.Fprintln(os.Stderr, "interrupted: saving checkpoint and exiting (signal again to abort)")
-		<-ch
-		os.Exit(130)
+		select {
+		case <-ch:
+			os.Exit(130)
+		case <-quit:
+		}
 	}()
-	return flag
+	var once sync.Once
+	return flag, func() {
+		once.Do(func() {
+			signal.Stop(ch)
+			close(quit)
+			<-exited
+		})
+	}
 }
 
 // SinkFile is a JSONLSink bound to a file it owns.

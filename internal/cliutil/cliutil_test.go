@@ -147,9 +147,12 @@ func readEvents(t *testing.T, path string) []obs.Event {
 
 // TestInterruptArmsOnSignal delivers a real SIGINT to the test process;
 // the installed handler must swallow it (the process survives) and arm
-// the flag.
+// the flag. Stopping the handler releases it, so running the test again
+// in the same process (-count=2) sees a fresh first signal, not the
+// abort-on-second-signal path.
 func TestInterruptArmsOnSignal(t *testing.T) {
-	flag := Interrupt()
+	flag, stop := Interrupt()
+	defer stop()
 	if flag.Load() {
 		t.Fatal("interrupt flag armed before any signal")
 	}

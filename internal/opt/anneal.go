@@ -513,7 +513,7 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 		}
 		if st.energy < st.bestEnergy {
 			st.bestEnergy = st.energy
-			st.best = st.g.Clone()
+			st.g.CopyInto(st.best)
 		}
 		if (iter+1)%o.ReportEvery == 0 || iter+1 == o.Iterations {
 			if o.OnProgress != nil && (iter+1)%o.ReportEvery == 0 {

@@ -61,22 +61,39 @@ func trySwap(g *hsgraph.Graph, rnd *rng.Rand) (undo, bool) {
 // c != a, c != b, and {a,c} does not exist. Degrees are preserved:
 // b swaps a switch link for a host link, c the reverse.
 func applySwing(g *hsgraph.Graph, a, b, c int) (undo, bool) {
-	if c == a || c == b || !g.HasEdge(a, b) || g.HasEdge(a, c) {
+	s, ok := doSwing(g, a, b, c)
+	if !ok {
 		return nil, false
+	}
+	return func() { s.revert(g) }, true
+}
+
+// swingEdit is one applied swing(a, b, c) that moved host h from c to b.
+// Holding it by value instead of as an undo closure keeps the generic
+// 2-neighbor swing free of heap allocations.
+type swingEdit struct{ a, b, c, h int }
+
+// doSwing is applySwing returning the applied edit instead of a closure.
+func doSwing(g *hsgraph.Graph, a, b, c int) (swingEdit, bool) {
+	if c == a || c == b || !g.HasEdge(a, b) || g.HasEdge(a, c) {
+		return swingEdit{}, false
 	}
 	h := g.AnyHostOn(c)
 	if h < 0 {
-		return nil, false
+		return swingEdit{}, false
 	}
 	mustDo(g.Disconnect(a, b))
 	// b now has a free port for the host; c will have one for the edge.
 	mustDo(g.MoveHost(h, b))
 	mustDo(g.Connect(a, c))
-	return func() {
-		mustDo(g.Disconnect(a, c))
-		mustDo(g.MoveHost(h, c))
-		mustDo(g.Connect(a, b))
-	}, true
+	return swingEdit{a: a, b: b, c: c, h: h}, true
+}
+
+// revert undoes the swing exactly.
+func (s swingEdit) revert(g *hsgraph.Graph) {
+	mustDo(g.Disconnect(s.a, s.c))
+	mustDo(g.MoveHost(s.h, s.c))
+	mustDo(g.Connect(s.a, s.b))
 }
 
 // proposeMove samples one swap or swing move (the 2-neighbor swing set

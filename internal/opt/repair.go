@@ -217,7 +217,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 			res.Accepted++
 			if energy < bestEnergy {
 				bestEnergy = energy
-				best = g.Clone()
+				g.CopyInto(best)
 			}
 		} else {
 			u()

@@ -136,13 +136,14 @@ func trySymSwap(g *hsgraph.Graph, sym int, rnd *rng.Rand) (undo, bool) {
 // b_j, so host counts stay constant on every orbit. Fails (graph
 // unchanged) on the standard swing preconditions, on antipodal {a,b} or
 // {a,c}, and on any image collision.
-func applySymSwing(g *hsgraph.Graph, sym, a, b, c int) (undo, bool) {
+func applySymSwing(g *hsgraph.Graph, sym, a, b, c int) (orbitSwing, bool) {
 	if sym == 1 {
-		return applySwing(g, a, b, c)
+		s, ok := doSwing(g, a, b, c)
+		return orbitSwing{one: s}, ok
 	}
 	m := g.Switches()
 	if symAntipodal(m, sym, a, b) || symAntipodal(m, sym, a, c) {
-		return nil, false
+		return orbitSwing{}, false
 	}
 	q := m / sym
 	se := &symEdit{g: g, sym: sym}
@@ -151,11 +152,28 @@ func applySymSwing(g *hsgraph.Graph, sym, a, b, c int) (undo, bool) {
 		u, ok := applySwing(g, aj, bj, cj)
 		if !ok {
 			se.rollback()
-			return nil, false
+			return orbitSwing{}, false
 		}
 		se.undos = append(se.undos, u)
 	}
-	return se.undo(), true
+	return orbitSwing{orbit: se.undo()}, true
+}
+
+// orbitSwing is an applied orbit swing: at sym == 1 the swing edit itself,
+// so the generic annealer's hot path allocates nothing, else the orbit's
+// combined undo.
+type orbitSwing struct {
+	one   swingEdit
+	orbit undo
+}
+
+// revert undoes the orbit swing exactly.
+func (o orbitSwing) revert(g *hsgraph.Graph) {
+	if o.orbit != nil {
+		o.orbit()
+		return
+	}
+	o.one.revert(g)
 }
 
 // trySymSwing samples a random orbit swing.
@@ -171,8 +189,8 @@ func trySymSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand) (undo, bool) {
 			a, b = b, a
 		}
 		c := rnd.Intn(m)
-		if u, ok := applySymSwing(g, sym, a, b, c); ok {
-			return u, true
+		if o, ok := applySymSwing(g, sym, a, b, c); ok {
+			return func() { o.revert(g) }, true
 		}
 	}
 	return nil, false
@@ -201,7 +219,7 @@ func symTwoNeighborSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand,
 		return 0, false
 	}
 	var a, b, c int
-	var undo1 undo
+	var undo1 orbitSwing
 	found := false
 	for attempt := 0; attempt < 8 && !found; attempt++ {
 		a, b = g.Edge(rnd.Intn(ne))
@@ -209,9 +227,7 @@ func symTwoNeighborSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand,
 			a, b = b, a
 		}
 		c = rnd.Intn(m)
-		if u, ok := applySymSwing(g, sym, a, b, c); ok {
-			undo1, found = u, true
-		}
+		undo1, found = applySymSwing(g, sym, a, b, c)
 	}
 	if !found {
 		return 0, false
@@ -244,9 +260,9 @@ func symTwoNeighborSwing(g *hsgraph.Graph, sym int, rnd *rng.Rand,
 			mc.CounterAccepts++
 			return e2, true
 		}
-		undo2()
+		undo2.revert(g)
 		break // the paper evaluates a single 2-neighbor candidate
 	}
-	undo1()
+	undo1.revert(g)
 	return 0, false
 }

@@ -38,6 +38,12 @@ func init() {
 	for _, c := range []struct{ n, r int }{{512, 12}, {1024, 24}} {
 		registerEval(c.n, c.r)
 	}
+	// The Fig. 9/10 instance (m_opt = 195 host-bearing switches: three
+	// full source words and a 3-source tail) at one and two workers, so
+	// the pool's two-worker speedup is read off one report.
+	for _, workers := range []int{1, 2} {
+		registerEvalSharded(fmt.Sprintf("eval/sharded/n=1024,r=15,w=%d", workers), 1024, 15, workers)
+	}
 	registerEvalIncremental(1024, 9)
 	for _, moves := range []opt.MoveSet{opt.SwapOnly, opt.SwingOnly, opt.TwoNeighborSwing} {
 		registerAnneal(moves)
@@ -101,10 +107,21 @@ func registerEval(n, r int) {
 			}}, nil
 		},
 	})
+	registerEvalSharded("eval/sharded/"+suffix, n, r, 0)
+}
+
+// registerEvalSharded registers h-ASPL evaluation through one persistent
+// sharded Evaluator pool of the given worker count (0: GOMAXPROCS).
+func registerEvalSharded(name string, n, r, workers int) {
+	pairs := float64(n) * float64(n-1) / 2
+	doc := fmt.Sprintf("h-ASPL via a persistent %d-worker sharded evaluator pool", workers)
+	if workers == 0 {
+		doc = "h-ASPL via the persistent sharded evaluator pool (GOMAXPROCS workers)"
+	}
 	Register(Workload{
-		Name:   "eval/sharded/" + suffix,
+		Name:   name,
 		Family: "eval",
-		Doc:    "h-ASPL via the persistent sharded evaluator pool (GOMAXPROCS workers)",
+		Doc:    doc,
 		Unit:   "pairs",
 		Setup: func(Config) (*Instance, error) {
 			g, err := evalGraph(n, r)
@@ -112,7 +129,11 @@ func registerEval(n, r int) {
 				return nil, err
 			}
 			want := g.EvaluateSlow().TotalPath
-			ev := hsgraph.NewEvaluator(runtime.GOMAXPROCS(0))
+			w := workers
+			if w == 0 {
+				w = runtime.GOMAXPROCS(0)
+			}
+			ev := hsgraph.NewEvaluator(w)
 			return &Instance{
 				Run: func() (float64, error) {
 					if met := ev.Evaluate(g); met.TotalPath != want {
