@@ -29,8 +29,8 @@ func main() {
 		schedule = flag.String("schedule", "geometric", "geometric | linear | hillclimb")
 		out      = flag.String("o", "", "write the edge list here (default stdout)")
 		evalFile = flag.String("eval", "", "evaluate an existing edge-list file instead of solving")
-		evalMode = flag.String("eval-mode", "exact", "move evaluation: exact, incremental or symmetric (same result, increasing moves/s)")
-		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off; must divide n)")
+		evalMode = flag.String("eval-mode", "exact", "move evaluation: exact (full sweep) or incremental (dirty-source cache, orbit-quotiented under -symmetry); symmetric is incremental that requires -symmetry. Same result, more moves/s")
+		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off; must divide n; the incremental and symmetric eval modes then also quotient evaluation)")
 	)
 	version := cliutil.VersionFlag()
 	flag.Parse()

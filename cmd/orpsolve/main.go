@@ -52,8 +52,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		fixedM   = flag.Int("m", 0, "force the switch count (0 = continuous-Moore prediction)")
 		moves    = flag.String("moves", "2ns", "move set: 2ns, swap or swing")
-		evalMode = flag.String("eval-mode", "exact", "move evaluation: exact, incremental or symmetric (same result, increasing moves/s)")
-		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off; pair with -eval-mode symmetric to quotient evaluation)")
+		evalMode = flag.String("eval-mode", "exact", "move evaluation: exact (full sweep) or incremental (dirty-source cache, orbit-quotiented under -symmetry); symmetric is incremental that requires -symmetry. Same result, more moves/s")
+		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off; the incremental and symmetric eval modes then also quotient evaluation)")
 		out      = flag.String("o", "", "output file for the graph (default stdout)")
 		dfs      = flag.Bool("dfs", true, "relabel hosts in depth-first order (paper §6.2.1)")
 		verbose  = flag.Bool("v", false, "print annealing progress")

@@ -72,12 +72,22 @@ func ContinuousASPLLowerBound(n int, k float64) float64 {
 	cap_ := k
 	for j := 1; remaining > 0; j++ {
 		take := math.Min(cap_, remaining)
+		if remaining-take == remaining {
+			// Below degree 2 the shells shrink geometrically and can hold
+			// at most k/(2-k) vertices in all. Once a shell no longer
+			// changes the remainder the series has converged: rounding
+			// dust left at the feasibility boundary (where the shells hold
+			// exactly n-1) goes to this level, as in the reference
+			// solver's moore_bound; a real shortfall cannot connect.
+			if remaining > 1e-9*float64(n-1) {
+				return math.Inf(1)
+			}
+			total += float64(j) * remaining
+			break
+		}
 		total += float64(j) * take
 		remaining -= take
 		cap_ *= k - 1
-		if j > n { // safety: cannot need more levels than vertices
-			return math.Inf(1)
-		}
 	}
 	return total / float64(n-1)
 }

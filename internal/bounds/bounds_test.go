@@ -355,3 +355,73 @@ func TestContinuousMooreHASPLEdges(t *testing.T) {
 		t.Fatalf("overfull single switch should be infeasible, got %v", b)
 	}
 }
+
+// mooreBoundRef is moore_bound from mnakao/ORP (utils.c), the reference
+// ORP solver, ported statement for statement: the Moore-bound ASPL of a
+// graph with nodes vertices and real-valued degree.
+func mooreBoundRef(nodes, degree float64) float64 {
+	if degree+1 >= nodes {
+		return 1
+	}
+	diam, n, r, aspl, prevTmp := -1.0, 1.0, 1.0, 0.0, 0.0
+	for {
+		tmp := n + degree*math.Pow(degree-1, r-1)
+		if tmp >= nodes || (r > 1 && prevTmp == tmp) {
+			break
+		}
+		n = tmp
+		aspl += r * degree * math.Pow(degree-1, r-1)
+		diam = r
+		r++
+		prevTmp = tmp
+	}
+	diam++
+	aspl += diam * (nodes - n)
+	aspl /= nodes - 1
+	return aspl
+}
+
+// continuousMooreRef is continuous_moore_bound from mnakao/ORP (utils.c).
+func continuousMooreRef(hosts, switches, radix int) float64 {
+	h, s, r := float64(hosts), float64(switches), float64(radix)
+	return mooreBoundRef(s, r-h/s)*(s*h-h)/(s*h-s) + 2
+}
+
+// TestContinuousMooreMatchesReference cross-checks ContinuousMooreHASPL
+// against the reference solver's continuous Moore bound at every feasible
+// switch count of the paper's instances and a few more, and pins m_opt at
+// (1024, 15) and (4096, 12). The reference's ORP_Optimize_switches is not
+// available, so m_opt is pinned at known values instead of being compared.
+func TestContinuousMooreMatchesReference(t *testing.T) {
+	points := 0
+	for _, c := range []struct{ n, r int }{
+		{1024, 15}, {1024, 24}, {4096, 12}, {128, 8}, {2048, 16}, {512, 6},
+	} {
+		for m := 1; m <= c.n; m++ {
+			if !feasible(c.n, m, c.r) {
+				continue
+			}
+			got, want := ContinuousMooreHASPL(c.n, m, c.r), continuousMooreRef(c.n, m, c.r)
+			if math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("n=%d m=%d r=%d: ContinuousMooreHASPL %v, reference %v", c.n, m, c.r, got, want)
+			}
+			points++
+		}
+	}
+	if points < 8000 {
+		t.Fatalf("only %d feasible points compared", points)
+	}
+	// Below degree 2 the shells hold k/(2-k) vertices in all: 20 at
+	// k = 40/21 (the (128, 21, 8) boundary point above), 3 at k = 1.5.
+	if got := ContinuousASPLLowerBound(21, 40.0/21); math.IsInf(got, 0) {
+		t.Fatalf("ContinuousASPLLowerBound(21, 40/21) = %v at the capacity boundary, want finite", got)
+	}
+	if got := ContinuousASPLLowerBound(5, 1.5); !math.IsInf(got, 1) {
+		t.Fatalf("ContinuousASPLLowerBound(5, 1.5) = %v beyond the shell capacity, want +Inf", got)
+	}
+	for _, c := range []struct{ n, r, want int }{{1024, 15, 195}, {4096, 12, 1343}} {
+		if got, _ := OptimalSwitchCount(c.n, c.r, 0); got != c.want {
+			t.Errorf("OptimalSwitchCount(%d, %d) = %d, want %d", c.n, c.r, got, c.want)
+		}
+	}
+}

@@ -293,6 +293,7 @@ func (ao *AnnealObserver) ObserveAnneal(s opt.AnnealSample) {
 			f["incSyncs"] = float64(ev.Inc.Syncs)
 			f["incFullRebuilds"] = float64(ev.Inc.FullRebuilds)
 			f["incPeeks"] = float64(ev.Inc.Peeks)
+			f["incPeekSources"] = float64(ev.Inc.PeekSources)
 		}
 		ao.Sink.Emit(obs.Event{T: s.Elapsed, Kind: obs.KindAnnealSample, F: f})
 	}

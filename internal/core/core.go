@@ -81,10 +81,10 @@ type Options struct {
 	// a symmetric random graph (topo.RandomSymmetric) and every move is a
 	// symmetry-preserving operator. Unless FixedM pins it, the predicted
 	// switch count is adjusted to the nearest value compatible with the
-	// group action. Pair with Eval = opt.EvalSymmetric to also quotient
-	// the evaluation (~Symmetry× fewer BFS sweeps per decision). The
-	// single-switch and clique regimes are already provably optimal and
-	// ignore this field.
+	// group action. The cache-backed eval modes (opt.EvalIncremental,
+	// opt.EvalSymmetric) then also quotient the evaluation (~Symmetry×
+	// fewer BFS sweeps per decision). The single-switch and clique
+	// regimes are already provably optimal and ignore this field.
 	Symmetry int
 	// OnProgress is forwarded to the annealer (single-restart runs only).
 	OnProgress func(iter int, current, best int64)
@@ -282,5 +282,24 @@ func finish(top *Topology, n, r int) (*Topology, error) {
 	if err := top.Graph.Validate(); err != nil {
 		return nil, fmt.Errorf("core: produced invalid topology: %w", err)
 	}
+	if err := checkBounds(top.Metrics, n, r); err != nil {
+		return nil, err
+	}
 	return top, nil
+}
+
+// checkBounds fails loudly when metrics beat the paper's lower bounds for
+// order n and radix r (Theorem 1 on the diameter, Theorem 2 on the
+// h-ASPL): no host-switch graph can, so such metrics mean a miscounting
+// evaluator. Single-switch and clique graphs sit exactly on the Theorem 2
+// bound, so the h-ASPL check allows a relative slack of 1e-12 for the
+// rounding of the two divisions.
+func checkBounds(met hsgraph.Metrics, n, r int) error {
+	if lb := bounds.HASPLLowerBound(n, r); met.HASPL < lb*(1-1e-12) {
+		return fmt.Errorf("core: h-ASPL %v is below the Theorem 2 lower bound %v for n=%d r=%d", met.HASPL, lb, n, r)
+	}
+	if lb := bounds.DiameterLowerBound(n, r); met.Diameter < lb {
+		return fmt.Errorf("core: diameter %d is below the Theorem 1 lower bound %d for n=%d r=%d", met.Diameter, lb, n, r)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bounds"
@@ -189,5 +190,30 @@ func TestTopologyFieldsConsistent(t *testing.T) {
 	}
 	if top.Anneal.Iterations != 500 {
 		t.Fatalf("anneal stats missing: %+v", top.Anneal)
+	}
+}
+
+// TestCheckBoundsRejectsBelowBound: metrics that beat Theorem 1 or
+// Theorem 2 are an evaluator fault, and finish's bound check must say so,
+// while metrics exactly on the bounds pass.
+func TestCheckBoundsRejectsBelowBound(t *testing.T) {
+	const n, r = 64, 8
+	onBound := hsgraph.Metrics{
+		HASPL:     bounds.HASPLLowerBound(n, r),
+		Diameter:  bounds.DiameterLowerBound(n, r),
+		Connected: true,
+	}
+	if err := checkBounds(onBound, n, r); err != nil {
+		t.Fatalf("metrics on the bounds rejected: %v", err)
+	}
+	lowASPL := onBound
+	lowASPL.HASPL *= 1 - 1e-9
+	if err := checkBounds(lowASPL, n, r); err == nil || !strings.Contains(err.Error(), "Theorem 2") {
+		t.Fatalf("h-ASPL below Theorem 2: want error, got %v", err)
+	}
+	lowDiam := onBound
+	lowDiam.Diameter--
+	if err := checkBounds(lowDiam, n, r); err == nil || !strings.Contains(err.Error(), "Theorem 1") {
+		t.Fatalf("diameter below Theorem 1: want error, got %v", err)
 	}
 }

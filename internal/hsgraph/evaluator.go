@@ -40,9 +40,15 @@ type Evaluator struct {
 
 	// Per-round job state: written by the caller before it publishes the
 	// round's claim word, read-only by workers that claim a shard of it
-	// (the atomic claim orders the accesses).
+	// (the atomic claim orders the accesses). job runs items [lo, hi) of
+	// the round's n on the claiming goroutine's shard.
 	g     *Graph
+	n     int
 	chunk int
+	job   func(sh *evalShard, lo, hi int)
+	// sweepJob is runSweep's job (sweepBatch over e.srcs), bound once so
+	// that publishing a round allocates nothing.
+	sweepJob func(sh *evalShard, lo, hi int)
 
 	// Shard handoff. claim packs the round's shard count (high 32 bits)
 	// and the next unclaimed shard index (low 32 bits): one atomic add
@@ -155,6 +161,7 @@ func NewEvaluator(workers int) *Evaluator {
 		workers: workers,
 		shards:  make([]evalShard, workers),
 	}
+	e.sweepJob = func(sh *evalShard, lo, hi int) { e.sweepBatch(sh, e.srcs[lo:hi]) }
 	if workers > 1 {
 		e.procs = int64(runtime.GOMAXPROCS(0))
 		poolGoroutines.Add(int64(workers))
@@ -365,19 +372,47 @@ func (e *Evaluator) runSweep(g *Graph) (orderedSum, reachablePairs, orderedWeigh
 	if chunk < 1 {
 		chunk = 1
 	}
-	shardCount := (n + chunk - 1) / chunk
-	m := len(g.adj)
+	e.growShards(len(g.adj))
 	for i := range e.shards {
 		sh := &e.shards[i]
-		if cap(sh.visited) < m {
-			sh.visited = make([]uint64, m)
-			sh.front = make([]uint64, m)
-			sh.next = make([]uint64, m)
-		}
 		sh.total, sh.reached, sh.wpairs, sh.diam = 0, 0, 0, 0
 	}
 	e.g = g
-	e.chunk = chunk
+	e.runRound(n, chunk, e.sweepJob)
+	e.g = nil
+	for i := range e.shards {
+		orderedSum += e.shards[i].total
+		reachablePairs += e.shards[i].reached
+		orderedWeighted += e.shards[i].wpairs
+		if e.shards[i].diam > diam {
+			diam = e.shards[i].diam
+		}
+	}
+	return orderedSum, reachablePairs, orderedWeighted, diam
+}
+
+// growShards makes every shard's BFS scratch hold at least words words.
+func (e *Evaluator) growShards(words int) {
+	for i := range e.shards {
+		sh := &e.shards[i]
+		if cap(sh.visited) < words {
+			sh.visited = make([]uint64, words)
+			sh.front = make([]uint64, words)
+			sh.next = make([]uint64, words)
+		}
+	}
+}
+
+// runRound runs job over the items [0, n) in shards of chunk items and
+// returns once every shard has finished. The pool is woken only when
+// there is more than one shard. Each shard runs on exactly one goroutine,
+// with that goroutine's private evalShard, so a job that writes only its
+// shard and its own items' outputs needs no further synchronization. It
+// is the one sharding driver of the package: runSweep and the
+// IncrementalEvaluator's row sweeps both run through it.
+func (e *Evaluator) runRound(n, chunk int, job func(sh *evalShard, lo, hi int)) {
+	shardCount := (n + chunk - 1) / chunk
+	e.n, e.chunk, e.job = n, chunk, job
 	e.finished.Store(0)
 	e.claim.Store(uint64(shardCount) << 32)
 	if e.workers > 1 && shardCount > 1 {
@@ -392,21 +427,11 @@ func (e *Evaluator) runSweep(g *Graph) (orderedSum, reachablePairs, orderedWeigh
 		// have taken a shard even when no round was announced.
 		e.wait(&e.park[0], func() bool { return e.finished.Load() == int64(shardCount) })
 	}
-	e.g = nil
-	for i := range e.shards {
-		orderedSum += e.shards[i].total
-		reachablePairs += e.shards[i].reached
-		orderedWeighted += e.shards[i].wpairs
-		if e.shards[i].diam > diam {
-			diam = e.shards[i].diam
-		}
-	}
-	return orderedSum, reachablePairs, orderedWeighted, diam
 }
 
-// runShards claims shards of the current round until none remain,
-// accumulating into sh only. The goroutine finishing the round's last
-// shard wakes the caller if it parked.
+// runShards claims shards of the current round until none remain and
+// runs the round's job on each with sh. The goroutine finishing the
+// round's last shard wakes the caller if it parked.
 func (e *Evaluator) runShards(sh *evalShard) {
 	for {
 		c := e.claim.Add(1) - 1
@@ -415,8 +440,7 @@ func (e *Evaluator) runShards(sh *evalShard) {
 			return
 		}
 		lo := idx * e.chunk
-		hi := min(lo+e.chunk, len(e.srcs))
-		e.sweepBatch(sh, e.srcs[lo:hi])
+		e.job(sh, lo, min(lo+e.chunk, e.n))
 		if e.finished.Add(1) == int64(count) && e.park != nil {
 			e.park[0].unpark()
 		}

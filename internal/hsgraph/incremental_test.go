@@ -102,12 +102,22 @@ func checkIncrementalStep(t *testing.T, ie *IncrementalEvaluator, ev *Evaluator,
 	}
 }
 
+// newPooledCache returns an order-sym incremental evaluator sweeping on a
+// fresh pool of the given size; the pool closes when the test ends.
+func newPooledCache(tb testing.TB, workers, sym int) *IncrementalEvaluator {
+	pool := NewEvaluator(workers)
+	tb.Cleanup(pool.Close)
+	return NewIncrementalEvaluator(pool, sym)
+}
+
 // TestIncrementalEvaluatorDifferential is the equivalence proof behind the
 // incremental engine: on >= 200 (graph, move-script, worker-count)
 // combinations, the dirty-source re-sweep must agree with the full-sweep
 // engines bit-for-bit on TotalPath, HASPL, Diameter and connectivity after
 // every single step — across connected, disconnected, island and
-// concentrated-host regimes, and across heavy do/undo churn.
+// concentrated-host regimes, and across heavy do/undo churn. The
+// sweep-size inputs then pin both row kernels at their lane-width edges
+// (see sweepSizeInputs).
 func TestIncrementalEvaluatorDifferential(t *testing.T) {
 	rnd := rng.New(20260807)
 	workerCounts := []int{1, 2, 3, 8}
@@ -124,17 +134,174 @@ func TestIncrementalEvaluatorDifferential(t *testing.T) {
 		for _, workers := range workerCounts {
 			trials++
 			g := base.Clone()
-			ie := NewIncrementalEvaluator(workers)
+			pool := NewEvaluator(workers)
+			ie := NewIncrementalEvaluator(pool, 1)
 			checkIncrementalStep(t, ie, ev, g, "initial")
 			for i, op := range script {
 				op.apply(t, g)
 				checkIncrementalStep(t, ie, ev, g, "seq "+itoa(seq)+" step "+itoa(i)+" workers "+itoa(workers))
 			}
+			pool.Close()
 		}
 	}
 	if trials < 200 {
 		t.Fatalf("differential coverage too small: %d combinations", trials)
 	}
+
+	for _, in := range sweepSizeInputs(t) {
+		// One oracle per state, shared by the worker counts: the plain BFS
+		// dominates at the no-store input's size.
+		whole := in.g.EvaluateSlow()
+		cutG := in.g.Clone()
+		if err := cutG.Disconnect(in.a, in.b); err != nil {
+			t.Fatal(err)
+		}
+		cut := cutG.EvaluateSlow()
+		for _, workers := range []int{1, 2, 3} {
+			g := in.g.Clone()
+			pool := NewEvaluator(workers)
+			ie := NewIncrementalEvaluator(pool, in.sym)
+			checkCached(t, ie, g, whole, in.name+" attach")
+			wantSkips := int64(0) // peeks past the row budget
+			if in.dirty == 0 {
+				wantSkips = 1
+			}
+			// Cut, restore, cut, restore: each edit's dirty sources are
+			// swept once, into the peek rows (or, past the row budget,
+			// into aggregates only) when peeked, else into the cache. The
+			// second round judges its dirty sets by the rows the first
+			// round wrote.
+			for step, peek := range []bool{true, false, false, true} {
+				ctx := in.name + " workers " + itoa(workers) + " step " + itoa(step)
+				cutting := step%2 == 0
+				want, edit := whole, g.Connect
+				if cutting {
+					want, edit = cut, g.Disconnect
+				}
+				if err := edit(in.a, in.b); err != nil {
+					t.Fatal(err)
+				}
+				before := ie.Stats()
+				if peek {
+					e, connected, ok := ie.PeekEnergy(g)
+					if !ok || connected != want.Connected || (connected && e != want.TotalPath) {
+						t.Fatalf("%s: peek (%d, %v, %v) != oracle %+v", ctx, e, connected, ok, want)
+					}
+					after := ie.Stats()
+					if got := after.PeekSources - before.PeekSources; in.dirty > 0 && got != int64(in.dirty) {
+						t.Fatalf("%s: peek swept %d sources, want %d", ctx, got, in.dirty)
+					}
+					if got := after.PeekStoreSkips - before.PeekStoreSkips; got != wantSkips {
+						t.Fatalf("%s: %d peek store skips", ctx, got)
+					}
+				}
+				checkCached(t, ie, g, want, ctx)
+				if got := ie.Stats().SweptSources - before.SweptSources; !peek && in.dirty > 0 && got != int64(in.dirty) {
+					t.Fatalf("%s: commit swept %d sources, want %d", ctx, got, in.dirty)
+				}
+			}
+			pool.Close()
+		}
+	}
+}
+
+// checkCached is checkIncrementalStep against a precomputed oracle.
+func checkCached(t *testing.T, ie *IncrementalEvaluator, g *Graph, want Metrics, ctx string) {
+	t.Helper()
+	wantE := want.TotalPath
+	if !want.Connected {
+		wantE = 0
+	}
+	if e, connected := ie.Energy(g); e != wantE || connected != want.Connected {
+		t.Fatalf("%s: incremental Energy (%d, %v) != oracle %+v", ctx, e, connected, want)
+	}
+	if got := ie.Evaluate(g); got != want {
+		t.Fatalf("%s: incremental Evaluate %+v != oracle %+v", ctx, got, want)
+	}
+}
+
+// sweepSizeInput is a graph with a bridge {a, b} whose removal, and whose
+// re-addition, each dirty exactly dirty cached rows of an order-sym cache;
+// dirty == 0 marks the input whose dirty set exceeds the peek row budget.
+type sweepSizeInput struct {
+	name  string
+	g     *Graph
+	sym   int
+	a, b  int
+	dirty int
+}
+
+// sweepSizeInputs builds dirty sets of 1, 63, 64, 65, 127, 128 and 129
+// sources — one lane, one word less or more by one, two words less or
+// more by one, where 129 is a 128-lane batch plus a 1-lane one — plus
+// one too large for the peek row budget. Sizes from 2 up are a path of
+// that many host-bearing switches after a longer second path: cutting
+// and restoring the path's middle edge changes every row of the path
+// and none of the other component's, and the untouched component keeps
+// the dirty share below the full-rebuild threshold. Placing the path last
+// keeps a source's index apart from its position in the swept list, so
+// a row written to the wrong one of the two slots shows. A generic cache
+// always dirties both endpoints of a changed edge, so the 1-source set
+// is an order-2 cache over two mirrored 2-switch components, whose
+// self-mirrored edge {0, 2} dirties only representative 0.
+func sweepSizeInputs(t *testing.T) []sweepSizeInput {
+	t.Helper()
+	connect := func(g *Graph, a, b int) {
+		if err := g.Connect(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair := New(4, 4, 3)
+	for s := 0; s < 4; s++ {
+		if err := pair.AttachHost(s, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	connect(pair, 0, 2)
+	connect(pair, 1, 3)
+	inputs := []sweepSizeInput{{name: "dirty 1", g: pair, sym: 2, a: 0, b: 2, dirty: 1}}
+	for _, k := range []int{63, 64, 65, 127, 128, 129} {
+		m := 2*k + 8
+		p := m - k // the k-path is switches [p, m)
+		g := New(m, m, 4)
+		for s := 0; s < m; s++ {
+			if err := g.AttachHost(s, s); err != nil {
+				t.Fatal(err)
+			}
+			if s+1 < m && s+1 != p {
+				connect(g, s, s+1)
+			}
+		}
+		inputs = append(inputs, sweepSizeInput{name: "dirty " + itoa(k), g: g, sym: 1, a: p + k/2 - 1, b: p + k/2, dirty: k})
+	}
+	return append(inputs, sweepSizeInput{name: "no-store peek", g: hubRing(t, 3000), sym: 1, a: 0, b: 1500})
+}
+
+// hubRing returns an m-switch wheel, one host per switch: a hub joined to
+// every switch of a ring. Cutting one spoke dirties essentially every
+// source, so at m = 3000, dirty*m ≈ 9M exceeds MaxPeekRowEntries.
+func hubRing(t *testing.T, m int) *Graph {
+	t.Helper()
+	g := New(m, m, m)
+	for s := 0; s < m; s++ {
+		if err := g.AttachHost(s, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := 1; s < m; s++ {
+		if err := g.Connect(0, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := 1; s < m-1; s++ {
+		if err := g.Connect(s, s+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Connect(m-1, 1); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func itoa(i int) string {
@@ -164,7 +331,8 @@ func TestIncrementalRollbackReevaluate(t *testing.T) {
 	defer ev.Close()
 	for trial := 0; trial < 40; trial++ {
 		g := randomEvalGraph(t, rnd)
-		ie := NewIncrementalEvaluator(1 + trial%3)
+		pool := NewEvaluator(1 + trial%3)
+		ie := NewIncrementalEvaluator(pool, 1)
 		checkIncrementalStep(t, ie, ev, g, "attach")
 		script := randomMoveScript(t, g, rnd, 6)
 		for i, op := range script {
@@ -190,6 +358,7 @@ func TestIncrementalRollbackReevaluate(t *testing.T) {
 			op.apply(t, g)
 			checkIncrementalStep(t, ie, ev, g, "reapply "+itoa(i))
 		}
+		pool.Close()
 	}
 }
 
@@ -203,7 +372,7 @@ func TestIncrementalOpLogOverflow(t *testing.T) {
 	}
 	ev := NewEvaluator(1)
 	defer ev.Close()
-	ie := NewIncrementalEvaluator(2)
+	ie := newPooledCache(t, 2, 1)
 	checkIncrementalStep(t, ie, ev, g, "attach")
 	a, b := g.Edge(0)
 	for i := 0; i < maxOpLog; i++ { // 2 ops per round: guaranteed overflow
@@ -232,7 +401,7 @@ func TestIncrementalEvaluatorSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie := NewIncrementalEvaluator(1) // workers=1: no goroutine churn in the loop
+	ie := NewIncrementalEvaluator(NewEvaluator(1), 1) // one worker: no pool goroutines
 	ie.Energy(g)
 	a, b := g.Edge(0)
 	c, d := g.Edge(1)
@@ -275,7 +444,7 @@ func FuzzIncrementalEval(f *testing.F) {
 		g := randomEvalGraph(t, rnd)
 		ev := NewEvaluator(2)
 		defer ev.Close()
-		ie := NewIncrementalEvaluator(1 + int(seed%3))
+		ie := newPooledCache(t, 1+int(seed%3), 1)
 		checkIncrementalStep(t, ie, ev, g, "attach")
 		m := g.Switches()
 		r := g.Radix()
@@ -339,7 +508,7 @@ func TestIncrementalStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie := NewIncrementalEvaluator(2)
+	ie := newPooledCache(t, 2, 1)
 
 	ie.Energy(g) // attach: a rebuild, but not a counted sync
 	s := ie.Stats()
@@ -442,27 +611,9 @@ func pickTarget(t *testing.T, g *Graph) int {
 // dirty*m ≈ 9M > 8M entries.
 func TestPeekStoreSkipAtRowBudget(t *testing.T) {
 	const m = 3000
-	g := New(m, m, m)
-	for s := 0; s < m; s++ {
-		if err := g.AttachHost(s, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 1; s < m; s++ {
-		if err := g.Connect(0, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 1; s < m-1; s++ {
-		if err := g.Connect(s, s+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Connect(m-1, 1); err != nil {
-		t.Fatal(err)
-	}
+	g := hubRing(t, m)
 
-	ie := NewIncrementalEvaluator(4)
+	ie := newPooledCache(t, 4, 1)
 	ie.Energy(g) // attach
 	if got := ie.Stats().PeekStoreSkips; got != 0 {
 		t.Fatalf("PeekStoreSkips before any peek: %d", got)
@@ -486,5 +637,34 @@ func TestPeekStoreSkipAtRowBudget(t *testing.T) {
 	ce, cok := ie.Energy(g)
 	if cok != want.Connected || ce != want.TotalPath {
 		t.Fatalf("commit after oversized peek (%d,%v) != evaluate %+v", ce, cok, want)
+	}
+}
+
+// BenchmarkIncrementalSweep times one sweep round of the row kernels on
+// one worker at the n=4096, r=12, m=1343 instance: 40 sources (a 64-lane
+// batch) and 128 (a 128-lane batch), swept into the cache as a commit
+// does and into the peek rows as a peek does.
+func BenchmarkIncrementalSweep(b *testing.B) {
+	g, err := RandomConnected(4096, 1343, 12, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ie := NewIncrementalEvaluator(NewEvaluator(1), 1)
+	ie.Energy(g)
+	for _, k := range []int{40, 128} {
+		srcs := make([]int32, k)
+		for i := range srcs {
+			srcs[i] = int32(i)
+		}
+		b.Run("commit/sources="+itoa(k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ie.sweep(srcs, ie.cacheDest())
+			}
+		})
+		b.Run("peek/sources="+itoa(k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ie.peekSweep(srcs)
+			}
+		})
 	}
 }

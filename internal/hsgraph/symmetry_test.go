@@ -237,8 +237,10 @@ func TestOrbitEvaluatorDifferential(t *testing.T) {
 			t.Fatalf("trial %d: shared generic sweep %+v != oracle %+v", trials, got, want)
 		}
 		// Orbit-mode incremental cache: attach-time rebuild must agree.
-		ie := NewOrbitIncrementalEvaluator(1+rnd.Intn(4), sym)
+		pool := NewEvaluator(1 + rnd.Intn(4))
+		ie := NewIncrementalEvaluator(pool, sym)
 		e, ok := ie.Energy(g)
+		pool.Close()
 		if ok != want.Connected || (ok && e != want.TotalPath) {
 			t.Fatalf("trial %d %v sym=%d: incremental Energy (%d,%v) inconsistent with %+v", trials, g, sym, e, ok, want)
 		}
@@ -260,8 +262,8 @@ func TestOrbitIncrementalDifferential(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g, sym := symTestGraph(t, rnd)
 		mirror := g.Clone()
-		ie := NewOrbitIncrementalEvaluator(1+rnd.Intn(4), sym)
-		gen := NewIncrementalEvaluator(1 + rnd.Intn(4))
+		ie := newPooledCache(t, 1+rnd.Intn(4), sym)
+		gen := newPooledCache(t, 1+rnd.Intn(4), 1)
 		check := func(step string) {
 			eo, oko := ie.Energy(g)
 			eg, okg := gen.Energy(mirror)
@@ -360,7 +362,7 @@ func TestOrbitEvaluatorRejectsAsymmetric(t *testing.T) {
 				t.Fatalf("attach panic message %q lacks 'asymmetric'", r)
 			}
 		}()
-		ie := NewOrbitIncrementalEvaluator(1, sym)
+		ie := NewIncrementalEvaluator(NewEvaluator(1), sym)
 		ie.Energy(g)
 	}()
 }
@@ -399,7 +401,7 @@ func TestOrbitIncrementalPanicsOnSymmetryBreak(t *testing.T) {
 			if g.Order() == 0 || g.SwitchOf(0) == -1 {
 				continue // host variant needs an attached host to move
 			}
-			ie := NewOrbitIncrementalEvaluator(2, sym)
+			ie := newPooledCache(t, 2, sym)
 			ie.Energy(g) // attach while still symmetric
 			if !mutate(g, sym) {
 				continue
@@ -457,7 +459,7 @@ func FuzzOrbitEval(f *testing.F) {
 		if got != want {
 			t.Fatalf("orbit %+v != generic %+v", got, want)
 		}
-		ie := NewOrbitIncrementalEvaluator(1+int(seed%3), sym)
+		ie := newPooledCache(t, 1+int(seed%3), sym)
 		e, ok := ie.Energy(g)
 		if ok != want.Connected || (ok && e != want.TotalPath) {
 			t.Fatalf("incremental Energy (%d,%v) inconsistent with %+v", e, ok, want)

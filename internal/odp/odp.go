@@ -43,8 +43,9 @@ type Options struct {
 	// Symmetry, when >= 2, searches only graphs closed under a cyclic
 	// group action of that order (must divide n): the start is a
 	// symmetric regular graph (topo.RandomRegularSymmetric) and every
-	// move swaps a whole edge orbit. Pair with Eval = opt.EvalSymmetric
-	// to also quotient the evaluation.
+	// move swaps a whole edge orbit. The cache-backed eval modes
+	// (opt.EvalIncremental, opt.EvalSymmetric) then also quotient the
+	// evaluation.
 	Symmetry int
 }
 

@@ -82,7 +82,9 @@ const (
 	EvalExact EvalMode = iota
 	// EvalIncremental evaluates every candidate exactly, but through the
 	// dirty-source cache (hsgraph.IncrementalEvaluator): only sources
-	// whose BFS trees can have changed are re-swept. Energies are
+	// whose BFS trees can have changed are re-swept. With Symmetry >= 2
+	// the cache keeps only the orbit-representative rows, ~Symmetry×
+	// fewer sources, with the fold scaled by the orbit size. Energies are
 	// bit-identical to EvalExact, so decisions trivially agree.
 	EvalIncremental
 	// evalRetiredLadder (2) was a sampled-bound mode whose decisions were
@@ -90,13 +92,10 @@ const (
 	// snapshots store the mode as an integer: one that carries it
 	// resumes as EvalIncremental.
 	evalRetiredLadder
-	// EvalSymmetric evaluates through the orbit-quotient incremental
-	// cache (hsgraph.NewOrbitIncrementalEvaluator): only orbit-
-	// representative sources are cached and re-swept, ~Symmetry× fewer
-	// than EvalIncremental, with the fold scaled by the orbit size for
-	// bit-identical energies. Requires Options.Symmetry >= 2 and a start
-	// graph closed under the group action; the symmetric move operators
-	// (enabled by Options.Symmetry with any mode) keep it closed.
+	// EvalSymmetric is EvalIncremental that requires Options.Symmetry >= 2,
+	// so a run asking for the orbit-quotient cache fails loudly instead of
+	// silently running generic. It keeps its own value and spelling
+	// because snapshots, CLIs and the orpd cache key carry them.
 	EvalSymmetric
 )
 
@@ -189,18 +188,19 @@ type Options struct {
 	Workers int
 	// Eval selects how candidates are evaluated (see EvalMode). The
 	// default EvalExact evaluates every candidate with the full sweep;
-	// EvalIncremental re-sweeps only dirty sources; EvalSymmetric
-	// quotients the incremental cache by the cyclic group action
-	// (requires Symmetry). All modes yield the same accepted-move
-	// sequence for a seed.
+	// EvalIncremental re-sweeps only dirty sources, quotiented by the
+	// cyclic group action whenever Symmetry >= 2; EvalSymmetric is
+	// EvalIncremental that requires Symmetry. All modes yield the same
+	// accepted-move sequence for a seed.
 	Eval EvalMode
 	// Symmetry, when >= 2, restricts the search to graphs closed under
 	// the cyclic group action σ(s) = (s + m/Symmetry) mod m: the start
 	// graph must verify (see hsgraph.VerifySymmetric) and every move is a
 	// symmetric operator applying the base edit plus its images to a
-	// whole orbit. Works with every Eval mode; EvalSymmetric additionally
-	// exploits it to sweep ~Symmetry× fewer sources. 0 and 1 mean no
-	// symmetry; negative values are rejected.
+	// whole orbit. Works with every Eval mode; the cache-backed modes
+	// (EvalIncremental, EvalSymmetric) additionally exploit it to sweep
+	// ~Symmetry× fewer sources. 0 and 1 mean no symmetry; negative values
+	// are rejected.
 	Symmetry int
 
 	// CheckpointPath, when non-empty, makes the annealer write a
@@ -444,14 +444,11 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 	// and commit rows only for accepted candidates, so rejected ones roll
 	// back for free. Both consume st.rnd identically (one draw per
 	// connected uphill candidate), so the accepted-move sequence is
-	// seed-determined, not mode-determined.
+	// seed-determined, not mode-determined. The cache sweeps on ev's pool
+	// and keeps orbit rows whenever the search is symmetric.
 	var inc *hsgraph.IncrementalEvaluator
 	if o.Eval != EvalExact {
-		cacheSym := 1
-		if o.Eval == EvalSymmetric {
-			cacheSym = o.Symmetry
-		}
-		inc = hsgraph.NewOrbitIncrementalEvaluator(o.Workers, cacheSym)
+		inc = hsgraph.NewIncrementalEvaluator(ev, o.Symmetry)
 	}
 	st.tel.inc = inc
 

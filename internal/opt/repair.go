@@ -156,7 +156,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 	// distance rows, so their rollback is free.
 	var inc *hsgraph.IncrementalEvaluator
 	if o.Eval != EvalExact {
-		inc = hsgraph.NewIncrementalEvaluator(o.Workers)
+		inc = hsgraph.NewIncrementalEvaluator(ev, 1)
 	}
 	candEnergy := func() (int64, bool) {
 		if inc == nil {

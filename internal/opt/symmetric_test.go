@@ -106,6 +106,32 @@ func TestSymmetricEvalModesProduceIdenticalRuns(t *testing.T) {
 	}
 }
 
+// TestIncrementalQuotientFollowsSymmetry: the cache-backed modes quotient
+// whenever Symmetry is set, so EvalIncremental at Symmetry 4 is the
+// orbit-quotient cache — its one row sweep is the attach of m/4
+// representative rows (every accepted move commits its stored peek rows)
+// — and runs EvalSymmetric's trajectory with EvalSymmetric's counters.
+func TestIncrementalQuotientFollowsSymmetry(t *testing.T) {
+	const sym = 4
+	start := symStart(t, sym, 5)
+	for _, moves := range []MoveSet{TwoNeighborSwing, SwapOnly} {
+		base := Options{Iterations: 300, Moves: moves, Symmetry: sym}
+		so, io := base, base
+		so.Eval, io.Eval = EvalSymmetric, EvalIncremental
+		wantG, wantRes, wantTraj := symRunWithTrajectory(t, start, so, 7)
+		gotG, gotRes, gotTraj := symRunWithTrajectory(t, start, io, 7)
+		if got, want := gotRes.Eval.Inc.SweptSources, int64(start.Switches()/sym); got != want {
+			t.Fatalf("%v: incremental swept %d rows, want the %d orbit representatives", moves, got, want)
+		}
+		if !bytes.Equal(wantG, gotG) || !reflect.DeepEqual(wantTraj, gotTraj) {
+			t.Fatalf("%v: incremental run left the symmetric run's trajectory", moves)
+		}
+		if !reflect.DeepEqual(wantRes, gotRes) {
+			t.Fatalf("%v: results differ:\nsymmetric   %+v\nincremental %+v", moves, wantRes, gotRes)
+		}
+	}
+}
+
 // TestSymmetricKillResume: a symmetric-mode run interrupted at an
 // arbitrary iteration and resumed from its v3 snapshot — including with a
 // different worker count — is bit-identical to the uninterrupted run.
@@ -169,9 +195,8 @@ func TestResumeFingerprintsSymmetry(t *testing.T) {
 	const sym = 4
 	start := symStart(t, sym, 5)
 
-	// Uninterrupted reference: symmetric moves on the generic incremental
-	// cache (so the resume-side Eval can stay EvalIncremental while
-	// Symmetry varies).
+	// Uninterrupted reference: symmetric moves in EvalIncremental, which
+	// accepts every Symmetry (so the resume side can vary it).
 	o := ckptBaseOptions()
 	o.Eval = EvalIncremental
 	o.Symmetry = sym

@@ -179,9 +179,10 @@ func registerEvalIncremental(n, r int) {
 					script = append(script, p)
 				}
 			}
-			ie := hsgraph.NewIncrementalEvaluator(runtime.GOMAXPROCS(0))
+			ev := hsgraph.NewEvaluator(runtime.GOMAXPROCS(0))
+			ie := hsgraph.NewIncrementalEvaluator(ev, 1)
 			want, _ := ie.Energy(g) // prime the cache
-			return &Instance{Run: func() (float64, error) {
+			return &Instance{Close: ev.Close, Run: func() (float64, error) {
 				for _, p := range script {
 					if err := g.Disconnect(p.a, p.b); err != nil {
 						return 0, err
@@ -629,46 +630,34 @@ func registerEvalOrbit() {
 	})
 }
 
-// registerAnnealSymmetric is the tentpole's headline measurement: the SA
-// move loop on a 4-symmetric n=4096 instance, symmetric move operators in
-// both workloads, differing only in the evaluation mode — the generic
-// incremental cache versus the orbit-quotient symmetric mode. Both produce the
-// identical accepted-move sequence (the eval-equivalence property), so
-// the moves/s ratio is exactly the orbit-quotient speedup; the issue's
-// acceptance bar is >= 3x at this size. Explicit temperatures skip the
-// calibration phase and a single worker keeps it a straight
-// single-thread comparison, as in registerAnnealEvalModes.
+// registerAnnealSymmetric measures the SA move loop on a 4-symmetric
+// n=4096 instance: symmetric move operators judged through the
+// orbit-quotient cache. It has no generic-cache comparator: the cache
+// quotients whenever Symmetry is set, so no mode runs symmetric moves on
+// the full m x m cache. Explicit temperatures skip the
+// calibration phase and a single worker keeps it a single-thread
+// measurement, as in registerAnnealEvalModes.
 func registerAnnealSymmetric() {
 	const n, m, r, iters, sym = 4096, 1024, 12, 600, 4
-	for _, w := range []struct {
-		name string
-		doc  string
-		mode opt.EvalMode
-	}{
-		{"anneal/symmetric-incremental", "symmetric SA moves on the generic incremental cache (the comparator)", opt.EvalIncremental},
-		{"anneal/symmetric", "symmetric SA moves on the orbit-quotient cache", opt.EvalSymmetric},
-	} {
-		w := w
-		Register(Workload{
-			Name:   fmt.Sprintf("%s/n=%d,g=%d,iters=%d", w.name, n, sym, iters),
-			Family: "anneal",
-			Doc:    w.doc,
-			Unit:   "moves",
-			Setup: func(Config) (*Instance, error) {
-				start, err := topo.RandomSymmetric(n, m, r, sym, 1)
-				if err != nil {
-					return nil, err
+	Register(Workload{
+		Name:   fmt.Sprintf("anneal/symmetric/n=%d,g=%d,iters=%d", n, sym, iters),
+		Family: "anneal",
+		Doc:    "symmetric SA moves on the orbit-quotient cache",
+		Unit:   "moves",
+		Setup: func(Config) (*Instance, error) {
+			start, err := topo.RandomSymmetric(n, m, r, sym, 1)
+			if err != nil {
+				return nil, err
+			}
+			o := opt.Options{Iterations: iters, Seed: 2, Workers: 1,
+				Moves: opt.SwingOnly, Eval: opt.EvalSymmetric, Symmetry: sym,
+				InitialTemp: 2000, FinalTemp: 10}
+			return &Instance{Run: func() (float64, error) {
+				if _, _, err := opt.Anneal(start, o); err != nil {
+					return 0, err
 				}
-				o := opt.Options{Iterations: iters, Seed: 2, Workers: 1,
-					Moves: opt.SwingOnly, Eval: w.mode, Symmetry: sym,
-					InitialTemp: 2000, FinalTemp: 10}
-				return &Instance{Run: func() (float64, error) {
-					if _, _, err := opt.Anneal(start, o); err != nil {
-						return 0, err
-					}
-					return float64(iters), nil
-				}}, nil
-			},
-		})
-	}
+				return float64(iters), nil
+			}}, nil
+		},
+	})
 }

@@ -104,6 +104,7 @@ func (o *logObserver) ObserveAnneal(sm opt.AnnealSample) {
 		f["incSyncs"] = float64(ev.Inc.Syncs)
 		f["incFullRebuilds"] = float64(ev.Inc.FullRebuilds)
 		f["incPeeks"] = float64(ev.Inc.Peeks)
+		f["incPeekSources"] = float64(ev.Inc.PeekSources)
 	}
 	o.log.Append(obs.Event{T: sm.Elapsed, Kind: obs.KindAnnealSample, F: f})
 
@@ -120,6 +121,7 @@ func (o *logObserver) ObserveAnneal(sm opt.AnnealSample) {
 	addDelta(o.met.incPeekReuses, ev.Inc.StoredPeekReuses, pv.Inc.StoredPeekReuses)
 	addDelta(o.met.incSwept, ev.Inc.SweptSources, pv.Inc.SweptSources)
 	addDelta(o.met.incDirty, ev.Inc.DirtySources, pv.Inc.DirtySources)
+	addDelta(o.met.incPeekSwept, ev.Inc.PeekSources, pv.Inc.PeekSources)
 }
 
 // addDelta advances a monotone counter from a cumulative snapshot pair.

@@ -69,7 +69,7 @@ type metrics struct {
 	// Incremental-cache introspection, aggregated across jobs from the
 	// per-restart EvalStats deltas (see logObserver).
 	incSyncs, incRebuilds, incPeekReuses, incSwept *obs.Counter
-	incDirty                                       *obs.Counter
+	incDirty, incPeekSwept                         *obs.Counter
 
 	// Persistent run store (all zero while no -store dir is configured).
 	storeAppends, storeLookups, storeHits, storeErrors *obs.Counter
@@ -96,6 +96,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		incPeekReuses: reg.Counter("orpd_inc_stored_peek_reuses_total", "Incremental-cache commits satisfied by stored peek rows."),
 		incSwept:      reg.Counter("orpd_inc_swept_sources_total", "Source rows swept into the incremental cache."),
 		incDirty:      reg.Counter("orpd_inc_dirty_sources_total", "Dirty sources seen at incremental-cache commits."),
+		incPeekSwept:  reg.Counter("orpd_inc_peek_sources_total", "Sources swept by incremental-cache peeks."),
 
 		storeAppends: reg.Counter("orpd_store_appends_total", "Run records appended to the persistent store."),
 		storeLookups: reg.Counter("orpd_store_lookups_total", "Result-cache misses that consulted the persistent store."),

@@ -398,6 +398,7 @@ func TestServiceMetricsExposition(t *testing.T) {
 	}
 	for _, name := range []string{
 		"orpd_inc_syncs_total", "orpd_inc_swept_sources_total", "orpd_inc_dirty_sources_total",
+		"orpd_inc_peek_sources_total",
 	} {
 		if v, ok := scalarMetric(fams, name); !ok || v <= 0 {
 			t.Errorf("%s = %v (present %v), want > 0", name, v, ok)
