@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hsgraph"
 	"repro/internal/obs"
 	"repro/internal/opt"
 )
@@ -185,6 +186,7 @@ func TestAnnealObserverSurfaces(t *testing.T) {
 		Current: 120, Best: 110, Accepted: 30, Proposed: 50,
 		Moves:       opt.MoveCounters{SwingAttempts: 25, SwingAccepts: 15, CounterAttempts: 25, CounterAccepts: 15},
 		MovesPerSec: 1e5, Elapsed: 0.25,
+		Eval: opt.EvalStats{Inc: hsgraph.IncStats{Syncs: 4, Peeks: 9, PeekSources: 1152}},
 	})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -217,7 +219,8 @@ func TestAnnealObserverSurfaces(t *testing.T) {
 	}
 	s := evs[1]
 	if s.T != 0.25 || s.F["iter"] != 500 || s.F["best"] != 110 || s.F["restart"] != 1 ||
-		s.F["swingAccepts"] != 15 || s.F["counterAttempts"] != 25 {
+		s.F["swingAccepts"] != 15 || s.F["counterAttempts"] != 25 ||
+		s.F["incSyncs"] != 4 || s.F["incPeeks"] != 9 || s.F["incPeekSources"] != 1152 {
 		t.Fatalf("sample event wrong: %+v", s)
 	}
 }
